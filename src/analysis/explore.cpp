@@ -389,16 +389,21 @@ ExecStatus run_one_execution(Sim& sim, const Scenario& sc) {
   sim.cex_reason.clear();
   sim.depth = 0;
   sim.asleep.assign((std::size_t)sim.n, 0);
-  for (ThreadSlot& s : sim.slots) {
-    s.phase = Phase::Idle;
-    s.start = false;
-    s.abort = false;
-    s.pending = PendingOp{};
-    s.clock.assign((std::size_t)sim.n + 1, 0);
-    s.last_idx.clear();
-    s.reads_since.clear();
-    s.spin_set.clear();
-    s.forced.clear();
+  {
+    // Idle workers re-check their wake predicate (s.start) under sim.m on
+    // every notify, so slot state is reset under the same mutex.
+    std::lock_guard<std::mutex> lk(sim.m);
+    for (ThreadSlot& s : sim.slots) {
+      s.phase = Phase::Idle;
+      s.start = false;
+      s.abort = false;
+      s.pending = PendingOp{};
+      s.clock.assign((std::size_t)sim.n + 1, 0);
+      s.last_idx.clear();
+      s.reads_since.clear();
+      s.spin_set.clear();
+      s.forced.clear();
+    }
   }
   sim.setup.clock.assign((std::size_t)sim.n + 1, 0);
   sim.setup.clock[(std::size_t)sim.n] = 1;
@@ -642,27 +647,37 @@ int sim_data_new(const char* name) {
 long long sim_data_read(int id) {
   ThreadSlot* s = require_slot();
   Sim* sim = s->sim;
-  DataState& d = sim->data[(std::size_t)id];
-  if (s == &sim->setup) return d.val;
-  s->clock[(std::size_t)s->tid]++;
-  if (d.has_write && !clock_leq(d.wvc, s->clock)) {
-    std::ostringstream os;
-    os << "data race on " << d.name << ": T" << s->tid
-       << " reads without happens-before edge from T" << d.writer
-       << "'s write (=" << d.val << ")";
-    sim->trace_op(s->tid, "RACE read " + d.name);
-    body_fail(sim, os.str());
+  if (s == &sim->setup) return sim->data[(std::size_t)id].val;
+  std::string race;
+  long long val = 0;
+  {
+    // Every slot's first segment starts at once, so several bodies can be
+    // Running here together: the shared trace and data state are guarded.
+    std::lock_guard<std::mutex> lk(sim->m);
+    DataState& d = sim->data[(std::size_t)id];
+    s->clock[(std::size_t)s->tid]++;
+    if (d.has_write && !clock_leq(d.wvc, s->clock)) {
+      std::ostringstream os;
+      os << "data race on " << d.name << ": T" << s->tid
+         << " reads without happens-before edge from T" << d.writer
+         << "'s write (=" << d.val << ")";
+      race = os.str();
+      sim->trace_op(s->tid, "RACE read " + d.name);
+    } else {
+      d.read_vc[(std::size_t)s->tid] = s->clock;
+      sim->trace_op(s->tid, "read " + d.name + " = " + std::to_string(d.val));
+      val = d.val;
+    }
   }
-  d.read_vc[(std::size_t)s->tid] = s->clock;
-  sim->trace_op(s->tid, "read " + d.name + " = " + std::to_string(d.val));
-  return d.val;
+  if (!race.empty()) body_fail(sim, race);
+  return val;
 }
 
 void sim_data_write(int id, long long v) {
   ThreadSlot* s = require_slot();
   Sim* sim = s->sim;
-  DataState& d = sim->data[(std::size_t)id];
   if (s == &sim->setup) {
+    DataState& d = sim->data[(std::size_t)id];
     d.has_write = true;
     d.writer = sim->n;
     sim->setup.clock[(std::size_t)sim->n]++;
@@ -670,38 +685,50 @@ void sim_data_write(int id, long long v) {
     d.val = v;
     return;
   }
-  s->clock[(std::size_t)s->tid]++;
-  if (d.has_write && !clock_leq(d.wvc, s->clock)) {
-    std::ostringstream os;
-    os << "data race on " << d.name << ": T" << s->tid
-       << " writes without happens-before edge from T" << d.writer
-       << "'s write";
-    sim->trace_op(s->tid, "RACE write " + d.name);
-    body_fail(sim, os.str());
-  }
-  for (int tid = 0; tid < sim->n; ++tid) {
-    const Clock& rc = d.read_vc[(std::size_t)tid];
-    if (!rc.empty() && !clock_leq(rc, s->clock)) {
+  std::string race;
+  {
+    std::lock_guard<std::mutex> lk(sim->m);  // see sim_data_read
+    DataState& d = sim->data[(std::size_t)id];
+    s->clock[(std::size_t)s->tid]++;
+    if (d.has_write && !clock_leq(d.wvc, s->clock)) {
       std::ostringstream os;
       os << "data race on " << d.name << ": T" << s->tid
-         << " writes without happens-before edge from T" << tid << "'s read";
+         << " writes without happens-before edge from T" << d.writer
+         << "'s write";
+      race = os.str();
+    }
+    for (int tid = 0; race.empty() && tid < sim->n; ++tid) {
+      const Clock& rc = d.read_vc[(std::size_t)tid];
+      if (!rc.empty() && !clock_leq(rc, s->clock)) {
+        std::ostringstream os;
+        os << "data race on " << d.name << ": T" << s->tid
+           << " writes without happens-before edge from T" << tid
+           << "'s read";
+        race = os.str();
+      }
+    }
+    if (!race.empty()) {
       sim->trace_op(s->tid, "RACE write " + d.name);
-      body_fail(sim, os.str());
+    } else {
+      d.has_write = true;
+      d.writer = s->tid;
+      d.wvc = s->clock;
+      d.val = v;
+      for (Clock& rc : d.read_vc) rc.clear();
+      sim->trace_op(s->tid, "write " + d.name + " = " + std::to_string(v));
     }
   }
-  d.has_write = true;
-  d.writer = s->tid;
-  d.wvc = s->clock;
-  d.val = v;
-  for (Clock& rc : d.read_vc) rc.clear();
-  sim->trace_op(s->tid, "write " + d.name + " = " + std::to_string(v));
+  if (!race.empty()) body_fail(sim, race);
 }
 
 void sim_check(bool cond, const char* what) {
   ThreadSlot* s = require_slot();
   if (cond) return;
   Sim* sim = s->sim;
-  sim->trace_op(s->tid, std::string("CHECK FAILED: ") + what);
+  {
+    std::lock_guard<std::mutex> lk(sim->m);  // see sim_data_read
+    sim->trace_op(s->tid, std::string("CHECK FAILED: ") + what);
+  }
   body_fail(sim, std::string("assertion failed: ") + what);
 }
 

@@ -25,7 +25,7 @@ namespace cats {
 namespace analysis {
 
 // NOLINTNEXTLINE(cppcoreguidelines-avoid-non-const-global-variables)
-thread_local AccessHook g_access_hook;
+thread_local constinit AccessHook g_access_hook;
 
 namespace {
 
@@ -81,6 +81,28 @@ void drive_3d(RecK& wrap, const plan_ir::TilePlan& p, const RunOptions& o,
   }
 }
 
+/// The production plan (plan_ir::emit_plan, the plan run() walks) for
+/// `scheme` forced with explicit tile parameters on `threads` workers; MWD
+/// runs them all as one group.
+plan_ir::TilePlan forced_plan(int dims, int nx, int ny, int nz, int T, int S,
+                              int threads, Scheme scheme, int tz = 0,
+                              int bz = 0, int bx = 0) {
+  plan_ir::PlanRequest rq;
+  rq.dims = dims;
+  rq.nx = nx;
+  rq.ny = ny;
+  rq.nz = nz;
+  rq.T = T;
+  rq.slope = S;
+  rq.opt.scheme = scheme;
+  rq.opt.threads = threads;
+  rq.opt.tz_override = tz;
+  rq.opt.bz_override = bz;
+  rq.opt.bx_override = bx;
+  if (scheme == Scheme::Mwd) rq.opt.mwd_group = threads;
+  return plan_ir::emit_plan(rq);
+}
+
 /// The sweep's toy domains sit far below any real cache bound; force the
 /// residency certificate so nt_store_eligible arms and the NT paths are
 /// exercised and checked. Whether the certificate itself is ever granted
@@ -134,19 +156,23 @@ void sweep_const2d(const char* prec, std::vector<FpReport>& out) {
   const int nx = 64, ny = 20, nt_steps = 6, threads = 2;
   std::vector<SchemeCase> cases;
   cases.push_back(
-      {"naive", plan_ir::emit_naive(2, nx, ny, 1, nt_steps, S, threads),
+      {"naive", forced_plan(2, nx, ny, 1, nt_steps, S, threads, Scheme::Naive),
        false});
-  cases.push_back(
-      {"cats1", plan_ir::emit_cats1(2, nx, ny, 1, nt_steps, S, 3, threads),
-       true});
+  cases.push_back({"cats1",
+                   forced_plan(2, nx, ny, 1, nt_steps, S, threads,
+                               Scheme::Cats1, /*tz=*/3),
+                   true});
   // bz must exceed the widest vector (16 fp32 lanes on AVX-512) or diamond
   // slabs stay scalar-only and the NT/TV exercise checks turn vacuous.
-  cases.push_back(
-      {"cats2", plan_ir::emit_cats2(2, nx, ny, 1, nt_steps, S, 24, threads),
-       true});
+  cases.push_back({"cats2",
+                   forced_plan(2, nx, ny, 1, nt_steps, S, threads,
+                               Scheme::Cats2, 0, /*bz=*/24),
+                   true});
   // Same diamond geometry, walked through the 2-member window pipeline.
   cases.push_back(
-      {"mwd", plan_ir::emit_mwd(2, nx, ny, 1, nt_steps, S, 24, 1, 2), true});
+      {"mwd",
+       forced_plan(2, nx, ny, 1, nt_steps, S, threads, Scheme::Mwd, 0, 24),
+       true});
   for (auto& sc : cases) arm_nt(sc.plan);
   for (const auto& sc : cases) {
     for (const Cfg& c : sc.cats ? cats_cfgs() : naive_cfgs()) {
@@ -186,16 +212,20 @@ void sweep_banded2d(std::vector<FpReport>& out) {
   using K = Banded2D<S, RecElem64>;
   std::vector<SchemeCase> cases;
   cases.push_back(
-      {"naive", plan_ir::emit_naive(2, nx, ny, 1, nt_steps, S, threads),
+      {"naive", forced_plan(2, nx, ny, 1, nt_steps, S, threads, Scheme::Naive),
        false});
+  cases.push_back({"cats1",
+                   forced_plan(2, nx, ny, 1, nt_steps, S, threads,
+                               Scheme::Cats1, /*tz=*/3),
+                   true});
+  cases.push_back({"cats2",
+                   forced_plan(2, nx, ny, 1, nt_steps, S, threads,
+                               Scheme::Cats2, 0, /*bz=*/24),
+                   true});
   cases.push_back(
-      {"cats1", plan_ir::emit_cats1(2, nx, ny, 1, nt_steps, S, 3, threads),
+      {"mwd",
+       forced_plan(2, nx, ny, 1, nt_steps, S, threads, Scheme::Mwd, 0, 24),
        true});
-  cases.push_back(
-      {"cats2", plan_ir::emit_cats2(2, nx, ny, 1, nt_steps, S, 24, threads),
-       true});
-  cases.push_back(
-      {"mwd", plan_ir::emit_mwd(2, nx, ny, 1, nt_steps, S, 24, 1, 2), true});
   for (auto& sc : cases) arm_nt(sc.plan);
   for (const auto& sc : cases) {
     for (const Cfg& c : sc.cats ? cats_cfgs() : naive_cfgs()) {
@@ -229,19 +259,25 @@ std::vector<SchemeCase> cases_3d(int nx, int ny, int nz, int nt_steps, int S,
                                  int threads) {
   std::vector<SchemeCase> cases;
   cases.push_back(
-      {"naive", plan_ir::emit_naive(3, nx, ny, nz, nt_steps, S, threads),
+      {"naive",
+       forced_plan(3, nx, ny, nz, nt_steps, S, threads, Scheme::Naive),
        false});
-  cases.push_back(
-      {"cats1", plan_ir::emit_cats1(3, nx, ny, nz, nt_steps, S, 2, threads),
-       true});
-  cases.push_back(
-      {"cats2", plan_ir::emit_cats2(3, nx, ny, nz, nt_steps, S, 4, threads),
-       true});
-  cases.push_back({"cats3", plan_ir::emit_cats3(nx, ny, nz, nt_steps, S, 4, 8,
-                                                threads),
+  cases.push_back({"cats1",
+                   forced_plan(3, nx, ny, nz, nt_steps, S, threads,
+                               Scheme::Cats1, /*tz=*/2),
+                   true});
+  cases.push_back({"cats2",
+                   forced_plan(3, nx, ny, nz, nt_steps, S, threads,
+                               Scheme::Cats2, 0, /*bz=*/4),
+                   true});
+  cases.push_back({"cats3",
+                   forced_plan(3, nx, ny, nz, nt_steps, S, threads,
+                               Scheme::Cats3, 0, /*bz=*/4, /*bx=*/8),
                    true});
   cases.push_back(
-      {"mwd", plan_ir::emit_mwd(3, nx, ny, nz, nt_steps, S, 4, 1, 2), true});
+      {"mwd",
+       forced_plan(3, nx, ny, nz, nt_steps, S, threads, Scheme::Mwd, 0, 4),
+       true});
   for (auto& sc : cases) arm_nt(sc.plan);
   return cases;
 }

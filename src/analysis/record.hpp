@@ -44,7 +44,7 @@ struct AccessHook {
   void (*fn)(void* ctx, const void* p, int bytes, AccessKind k) = nullptr;
 };
 // NOLINTNEXTLINE(cppcoreguidelines-avoid-non-const-global-variables)
-extern thread_local AccessHook g_access_hook;
+extern thread_local constinit AccessHook g_access_hook;
 
 inline void record_access(const void* p, int bytes, AccessKind k) {
   if (g_access_hook.fn != nullptr) g_access_hook.fn(g_access_hook.ctx, p, bytes, k);

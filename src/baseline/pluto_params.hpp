@@ -1,5 +1,5 @@
 #pragma once
-// Tile-size parameters for the PluTo-like baseline (see pluto_like.hpp).
+// Tile-size parameters for the PluTo-like baseline (plan/emit.hpp emit_pluto).
 
 namespace cats {
 

@@ -7,20 +7,19 @@
 // With Scheme::Auto this is the paper's "general CATS scheme": Eq. 1 picks
 // the CATS1 chunk height; if the CATS1 wavefront would span fewer than 10
 // timesteps the selector switches to CATS2 with the Eq. 2 diamond width.
-// The returned SchemeChoice reports what actually ran.
+// The returned SchemeChoice reports what the selector picked. Every scheme
+// runs through one path: the choice is emitted as a TilePlan (plan/emit.hpp)
+// and that plan — the one verify_plan certifies — is walked.
 
 #include <cstdio>
 #include <cstdlib>
 
-#include "baseline/pluto_like.hpp"
 #include "check/oracle.hpp"
-#include "core/cats1.hpp"
-#include "core/cats2.hpp"
-#include "core/cats3.hpp"
-#include "core/mwd.hpp"
-#include "core/naive.hpp"
+#include "core/options.hpp"
 #include "core/selector.hpp"
 #include "core/stencil.hpp"
+#include "plan/emit.hpp"
+#include "plan/kernel_walk.hpp"
 
 namespace cats {
 
@@ -41,29 +40,14 @@ DomainShape domain_shape(const K& k) {
           k.depth(), k.height(), 3};
 }
 
-/// Scheme + parameters that run(k, T, opt) would use (without running).
-/// With opt.tuning != Off and Scheme::Auto, the persistent tuning DB is
-/// consulted first (apply_tuning); a miss falls back to Eq. 1/2 unchanged.
-template <class K>
-  requires RowKernel1D<K> || RowKernel2D<K> || RowKernel3D<K>
-SchemeChoice plan(const K& k, int T, const RunOptions& opt) {
-  const KernelCosts costs{k.slope(), effective_cs(k, opt.cs_slack),
-                          kernel_element_bytes(k)};
-  const DomainShape d = domain_shape(k);
-  if (opt.tuning != Tuning::Off) {
-    return select_scheme(d, costs, apply_tuning(opt, kernel_tuning_id(k), d), T);
-  }
-  return select_scheme(d, costs, opt, T);
-}
-
 namespace detail {
 
-struct OracleDims {
+struct Extents {
   int w = 1, h = 1, d = 1;
 };
 
 template <class K>
-OracleDims oracle_dims(const K& k) {
+Extents extents(const K& k) {
   if constexpr (RowKernel3D<K>) {
     return {k.width(), k.height(), k.depth()};
   } else if constexpr (RowKernel2D<K>) {
@@ -75,7 +59,59 @@ OracleDims oracle_dims(const K& k) {
 
 }  // namespace detail
 
-/// Apply the kernel's stencil T times with the selected scheme.
+/// The options run(k, T, opt) executes with. Gauss-Seidel-style kernels
+/// (same-timestep spatial reads) admit no split-tiling parallelism, so they
+/// run serially and on the CATS1 wavefront (which still provides the full
+/// temporal-locality benefit) unless the naive sweep was asked for. With
+/// opt.tuning != Off and Scheme::Auto the persistent tuning DB is consulted
+/// (apply_tuning), so a DB entry's thread count reaches execution too; a
+/// miss falls back to Eq. 1/2 unchanged.
+template <class K>
+  requires RowKernel1D<K> || RowKernel2D<K> || RowKernel3D<K>
+RunOptions resolve_options(const K& k, const RunOptions& opt) {
+  RunOptions eff = opt;
+  if constexpr (kernel_sequential_deps<K>()) {
+    eff.threads = 1;
+    if (eff.scheme != Scheme::Naive) eff.scheme = Scheme::Cats1;
+  }
+  if (eff.tuning != Tuning::Off) {
+    eff = apply_tuning(eff, kernel_tuning_id(k), domain_shape(k));
+  }
+  eff.unroll_t = sanitize_unroll_t(eff.unroll_t);
+  eff.mwd_group = sanitize_mwd_group(eff.mwd_group, eff.threads, eff.scheme);
+  return eff;
+}
+
+/// The plan request for kernel k: its extents and cost model (slope, CS',
+/// element size) plus already-resolved options.
+template <class K>
+  requires RowKernel1D<K> || RowKernel2D<K> || RowKernel3D<K>
+plan_ir::PlanRequest plan_request(const K& k, int T, const RunOptions& opt) {
+  const detail::Extents e = detail::extents(k);
+  plan_ir::PlanRequest rq;
+  rq.dims = RowKernel3D<K> ? 3 : RowKernel2D<K> ? 2 : 1;
+  rq.nx = e.w;
+  rq.ny = e.h;
+  rq.nz = e.d;
+  rq.T = T;
+  rq.slope = k.slope();
+  rq.cs_eff = effective_cs(k, opt.cs_slack);
+  rq.elem_bytes = kernel_element_bytes(k);
+  rq.opt = opt;
+  return rq;
+}
+
+/// Scheme + parameters that run(k, T, opt) would use (without running).
+template <class K>
+  requires RowKernel1D<K> || RowKernel2D<K> || RowKernel3D<K>
+SchemeChoice plan(const K& k, int T, const RunOptions& opt) {
+  return plan_ir::select_plan(plan_request(k, T, resolve_options(k, opt)));
+}
+
+/// Apply the kernel's stencil T times with the selected scheme: resolve the
+/// options, select once, emit the plan (plan/emit.hpp) and walk it
+/// (plan/kernel_walk.hpp). Returns the unresolved choice — what the
+/// selector picked, before the dimensional fallbacks emit_plan applies.
 template <class K>
   requires RowKernel1D<K> || RowKernel2D<K> || RowKernel3D<K>
 SchemeChoice run(K& k, int T, const RunOptions& opt) {
@@ -85,8 +121,8 @@ SchemeChoice run(K& k, int T, const RunOptions& opt) {
   // aborts, so a schedule regression fails fast in any build type.
   if (T > 0 && opt.oracle == nullptr &&
       (opt.validate || check::validate_env_enabled())) {
-    const detail::OracleDims dims = detail::oracle_dims(k);
-    check::DepOracle oracle(dims.w, dims.h, dims.d, k.slope(), opt.threads);
+    const detail::Extents e = detail::extents(k);
+    check::DepOracle oracle(e.w, e.h, e.d, k.slope(), opt.threads);
     RunOptions vopt = opt;
     vopt.oracle = &oracle;
     vopt.validate = false;
@@ -102,68 +138,17 @@ SchemeChoice run(K& k, int T, const RunOptions& opt) {
     }
     return choice;
   }
-  // Gauss-Seidel-style kernels (same-timestep spatial reads) admit no
-  // split-tiling parallelism: force the serial CATS1 wavefront (which still
-  // provides the full temporal-locality benefit) or the serial naive sweep.
-  if constexpr (kernel_sequential_deps<K>()) {
-    RunOptions serial = opt;
-    serial.threads = 1;
-    serial.unroll_t = sanitize_unroll_t(serial.unroll_t);
-    if (opt.scheme != Scheme::Naive) serial.scheme = Scheme::Cats1;
-    const SchemeChoice choice = plan(k, T, serial);
-    if (T <= 0) return choice;
-    if (choice.scheme == Scheme::Naive) {
-      run_naive(k, T, serial);
-    } else {
-      run_cats1(k, T, serial, std::max(1, choice.tz));
-    }
-    return choice;
-  }
-
-  // Resolve tuning once so a DB entry's thread count (run_threads) also
-  // reaches the executing scheme, not just the tile parameters. plan() on the
-  // resolved options is a no-op second lookup: a hit made scheme explicit.
-  RunOptions eff = opt;
-  if (opt.tuning != Tuning::Off) {
-    eff = apply_tuning(opt, kernel_tuning_id(k), domain_shape(k));
-  }
-  eff.unroll_t = sanitize_unroll_t(eff.unroll_t);
-  eff.mwd_group = sanitize_mwd_group(eff.mwd_group, eff.threads, eff.scheme);
-  const SchemeChoice choice = plan(k, T, eff);
+  const RunOptions eff = resolve_options(k, opt);
+  const plan_ir::PlanRequest rq = plan_request(k, T, eff);
+  const SchemeChoice choice = plan_ir::select_plan(rq);
   if (T <= 0) return choice;
-  // Dimensional fallbacks (CATS2 in 1D -> CATS1, CATS3 below 3D -> CATS2/1)
-  // are shared with plan emission via resolve_dispatch, so the statically
-  // verifiable plan is always the schedule that executes here. The returned
-  // choice stays unresolved: it reports what the selector picked.
-  constexpr int dims = RowKernel3D<K> ? 3 : RowKernel2D<K> ? 2 : 1;
-  const SchemeChoice exec = resolve_dispatch(choice, dims);
-  switch (exec.scheme) {
-    case Scheme::Naive:
-      run_naive(k, T, eff);
-      break;
-    case Scheme::Cats1:
-      run_cats1(k, T, eff, exec.tz);
-      break;
-    case Scheme::Cats2:
-      if constexpr (!RowKernel1D<K>) {
-        run_cats2(k, T, eff, exec.bz);
-      }
-      break;
-    case Scheme::Cats3:
-      if constexpr (RowKernel3D<K>) {
-        run_cats3(k, T, eff, exec.bz, exec.bx);
-      }
-      break;
-    case Scheme::Mwd:
-      if constexpr (!RowKernel1D<K>) {  // 1D resolves to CATS1 above
-        run_mwd(k, T, eff, exec.bz);
-      }
-      break;
-    case Scheme::PlutoLike:
-      run_pluto_like(k, T, eff);
-      break;
-    case Scheme::Auto:
-      break;  // unreachable: select_scheme never returns Auto
+  const plan_ir::TilePlan p = plan_ir::emit_plan(rq, choice);
+  // The PluTo-like baseline walks the kernel's scalar row: the paper's
+  // auto-vectorized-only comparison point.
+  if (p.scheme == Scheme::PlutoLike) {
+    plan_ir::run_plan<true>(k, p, eff);
+  } else {
+    plan_ir::run_plan(k, p, eff);
   }
   return choice;
 }

@@ -79,23 +79,32 @@ SchemeChoice select_scheme(const DomainShape& d, const KernelCosts& k,
                            const RunOptions& opt, int T) {
   const std::size_t z = resolve_cache_bytes(opt);
 
+  // CATS-k requires k distinct skewed dimensions, so a 1D domain runs every
+  // CATS2/CATS3/MWD request as the CATS1 wavefront (resolve_dispatch). Those
+  // choices carry the Eq. 1 chunk height, exactly as a forced CATS1 would.
+  const auto cats1_tz = [&] {
+    const int tz =
+        opt.tz_override ? opt.tz_override : std::max(1, compute_tz(z, d, k));
+    return std::min(tz, T);
+  };
+  const auto tz_1d = [&] { return d.dims == 1 ? cats1_tz() : 0; };
+
   switch (opt.scheme) {
     case Scheme::Naive:
       return {Scheme::Naive, 0, 0, 0};
-    case Scheme::Cats1: {
-      int tz = opt.tz_override ? opt.tz_override
-                               : std::max(1, compute_tz(z, d, k));
-      return {Scheme::Cats1, std::min(tz, T), 0, 0};
-    }
+    case Scheme::Cats1:
+      return {Scheme::Cats1, cats1_tz(), 0, 0};
     case Scheme::Cats2: {
       std::int64_t bz = opt.bz_override ? opt.bz_override : compute_bz(z, d, k);
-      return {Scheme::Cats2, 0, std::max<std::int64_t>(bz, 2ll * k.slope), 0};
+      return {Scheme::Cats2, tz_1d(),
+              std::max<std::int64_t>(bz, 2ll * k.slope), 0};
     }
     case Scheme::Cats3: {
-      // CATS-k requires k distinct skewed dimensions: clamp to CATS2 in 2D.
+      // Clamp to CATS2 in 2D (and to CATS1 in 1D, via resolve_dispatch).
       if (d.dims < 3) {
         std::int64_t bz = opt.bz_override ? opt.bz_override : compute_bz(z, d, k);
-        return {Scheme::Cats2, 0, std::max<std::int64_t>(bz, 2ll * k.slope), 0};
+        return {Scheme::Cats2, tz_1d(),
+                std::max<std::int64_t>(bz, 2ll * k.slope), 0};
       }
       std::int64_t bz = opt.bz_override ? opt.bz_override : compute_bz3(z, k);
       std::int64_t bx = opt.bx_override ? opt.bx_override : bz;
@@ -110,7 +119,8 @@ SchemeChoice select_scheme(const DomainShape& d, const KernelCosts& k,
           opt.bz_override
               ? opt.bz_override
               : compute_bz(z * static_cast<std::size_t>(g), d, k);
-      return {Scheme::Mwd, 0, std::max<std::int64_t>(bz, 2ll * k.slope), 0, g};
+      return {Scheme::Mwd, tz_1d(),
+              std::max<std::int64_t>(bz, 2ll * k.slope), 0, g};
     }
     case Scheme::PlutoLike:
       return {Scheme::PlutoLike, 0, 0, 0};
@@ -196,13 +206,10 @@ RunOptions apply_tuning(const RunOptions& opt, const std::string& kernel_id,
   else if (e->affinity == "compact") tuned.affinity = AffinityPolicy::Compact;
   else if (e->affinity == "scatter") tuned.affinity = AffinityPolicy::Scatter;
   // Wave-engine knobs (src/wave): advisory like the rest — untuned entries
-  // (pre-wave DBs) keep the caller's values, and team_size is re-clamped by
-  // wave_team_width at execution anyway.
+  // (pre-wave DBs) keep the caller's values.
   if (e->nt_stores >= 0) tuned.nt_stores = e->nt_stores != 0;
   if (e->unroll_t >= 0) tuned.unroll_t = e->unroll_t;
   if (e->temporal_vec >= 0) tuned.temporal_vec = e->temporal_vec != 0;
-  if (e->team_size > 0 && e->team_size <= opt.threads)
-    tuned.team_size = e->team_size;
   if (e->mwd_group > 0 && e->mwd_group <= opt.threads)
     tuned.mwd_group = e->mwd_group;
   if (e->prefetch_dist >= 0) tuned.prefetch_dist = e->prefetch_dist;

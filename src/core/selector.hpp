@@ -34,7 +34,7 @@ struct KernelCosts {
 
 struct SchemeChoice {
   Scheme scheme = Scheme::Naive;
-  int tz = 0;           ///< CATS1 chunk height (when scheme == Cats1)
+  int tz = 0;           ///< CATS1 chunk height (Cats1; any 1D choice)
   std::int64_t bz = 0;  ///< CATS2/CATS3/MWD diamond width
   std::int64_t bx = 0;  ///< CATS3 x-parallelogram width
   int group = 0;        ///< MWD group width (0 when scheme != Mwd)
@@ -58,10 +58,10 @@ std::int64_t compute_bz3(std::size_t cache_bytes, const KernelCosts& k);
 SchemeChoice select_scheme(const DomainShape& d, const KernelCosts& k,
                            const RunOptions& opt, int T);
 
-/// Dimensional dispatch fallbacks applied after select_scheme: CATS2 in 1D
-/// runs the CATS1 wavefront (CATS1 is CATS(d) there), CATS3 below 3D runs
-/// CATS2/CATS1. run() and plan emission (src/plan/emit.cpp) share this so
-/// the emitted plan is always the schedule that would actually execute.
+/// Dimensional dispatch fallbacks applied after select_scheme: CATS2, CATS3
+/// and MWD in 1D run the CATS1 wavefront (CATS1 is CATS(d) there) at the
+/// choice's Eq. 1 tz; CATS3 in 2D runs CATS2. Applied by plan emission
+/// (plan_ir::emit_plan), the one path run() executes.
 SchemeChoice resolve_dispatch(const SchemeChoice& c, int dims);
 
 /// Eq. 2 before the 2s floor, and the CATS3 (cube-root) analogue. The Auto

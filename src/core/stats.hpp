@@ -38,14 +38,15 @@ namespace cats {
 /// - `barriers`: global barrier crossings, counted per participant (a
 ///   P-thread chunk boundary adds 2*P: two barriers guard the progress-cell
 ///   reset). Naive adds one per participant per timestep; CATS2/CATS3 use no
-///   global barriers inside the sweep.
+///   global barriers inside the sweep; MWD adds each member's crossings of
+///   its group's window barrier.
 /// - `team_wait_events`/`team_wait_spins`/`team_wait_ns`: the TeamBarrier
-///   idle-spin share of the wait_* totals above — intra-tile team/MWD-group
-///   members stalled at a slab or wavefront-window barrier. Team crossings
-///   that blocked are counted in BOTH the wait_* aggregates and this
-///   breakdown, so wait_ns stays the single number to compare against
-///   runtime and team_wait_ns attributes how much of it is intra-tile
-///   (member imbalance) rather than tile-to-tile (schedule dependencies).
+///   idle-spin share of the wait_* totals above — MWD group members stalled
+///   at a wavefront-window barrier. Crossings that blocked are counted in
+///   BOTH the wait_* aggregates and this breakdown, so wait_ns stays the
+///   single number to compare against runtime and team_wait_ns attributes
+///   how much of it is intra-tile (member imbalance) rather than
+///   tile-to-tile (schedule dependencies).
 struct RunStats {
   std::atomic<std::int64_t> wait_events{0};
   std::atomic<std::int64_t> wait_spins{0};

@@ -417,62 +417,15 @@ TilePlan emit_pluto(int dims, std::int64_t nx, std::int64_t ny,
   return p;
 }
 
-TilePlan emit_plan(const PlanRequest& rq) {
-  DomainShape d;
-  d.dims = rq.dims;
-  if (rq.dims == 1) {
-    d = {rq.nx, rq.nx, 0, 1};
-  } else if (rq.dims == 2) {
-    d = {rq.nx * rq.ny, rq.ny, rq.nx, 2};
-  } else {
-    d = {rq.nx * rq.ny * rq.nz, rq.nz, rq.ny, 3};
-  }
-  const KernelCosts costs{rq.slope, rq.cs_eff, rq.elem_bytes};
-  const SchemeChoice choice =
-      resolve_dispatch(select_scheme(d, costs, rq.opt, rq.T), rq.dims);
+namespace {
 
-  TilePlan p;
-  switch (choice.scheme) {
-    case Scheme::Naive:
-      p = emit_naive(rq.dims, rq.nx, rq.ny, rq.nz, rq.T, rq.slope,
-                     rq.opt.threads);
-      break;
-    case Scheme::Cats1:
-      p = emit_cats1(rq.dims, rq.nx, rq.ny, rq.nz, rq.T, rq.slope, choice.tz,
-                     rq.opt.threads);
-      break;
-    case Scheme::Cats2:
-      p = emit_cats2(rq.dims, rq.nx, rq.ny, rq.nz, rq.T, rq.slope, choice.bz,
-                     rq.opt.threads);
-      break;
-    case Scheme::Cats3:
-      p = emit_cats3(rq.nx, rq.ny, rq.nz, rq.T, rq.slope, choice.bz,
-                     choice.bx, rq.opt.threads);
-      break;
-    case Scheme::Mwd: {
-      // wave_team_width re-derives the same m at execution, so the emitted
-      // group layout and the worker layout always agree.
-      const int m = std::max(1, choice.group);
-      const int groups =
-          std::max(1, (rq.opt.threads > 0 ? rq.opt.threads : 1) / m);
-      p = emit_mwd(rq.dims, rq.nx, rq.ny, rq.nz, rq.T, rq.slope, choice.bz,
-                   groups, m);
-      break;
-    }
-    case Scheme::PlutoLike:
-      p = emit_pluto(rq.dims, rq.nx, rq.ny, rq.nz, rq.T, rq.slope,
-                     rq.opt.threads);
-      break;
-    case Scheme::Auto:
-      CATS_CHECK(false, "select_scheme never returns Auto");
-      break;
-  }
-
-  apply_cache_model(p, choice.scheme, d, costs, rq.opt);
-  return p;
+DomainShape request_domain(const PlanRequest& rq) {
+  if (rq.dims == 1) return {rq.nx, rq.nx, 0, 1};
+  if (rq.dims == 2) return {rq.nx * rq.ny, rq.ny, rq.nx, 2};
+  return {rq.nx * rq.ny * rq.nz, rq.nz, rq.ny, 3};
 }
 
-void apply_cache_model(TilePlan& p, Scheme scheme, const DomainShape& d,
+void apply_cache_model(TilePlan& p, const DomainShape& d,
                        const KernelCosts& costs, const RunOptions& opt) {
   // resolve_cache_bytes already divides Z by opt.cache_tenants (multi-tenant
   // shard batching, src/serve); the plan records both the partitioned share
@@ -483,7 +436,7 @@ void apply_cache_model(TilePlan& p, Scheme scheme, const DomainShape& d,
   p.cache_tenants = opt.cache_tenants > 1 ? opt.cache_tenants : 1;
   p.cs_eff = costs.cs_eff;
   p.elem_bytes = costs.elem_bytes;
-  switch (scheme) {
+  switch (p.scheme) {
     case Scheme::Cats1:
       p.certify_residency = opt.tz_override == 0;
       p.clamped = p.certify_residency && compute_tz(z, d, costs) < 1;
@@ -510,6 +463,59 @@ void apply_cache_model(TilePlan& p, Scheme scheme, const DomainShape& d,
     default:
       break;
   }
+}
+
+}  // namespace
+
+SchemeChoice select_plan(const PlanRequest& rq) {
+  return select_scheme(request_domain(rq),
+                       KernelCosts{rq.slope, rq.cs_eff, rq.elem_bytes}, rq.opt,
+                       rq.T);
+}
+
+TilePlan emit_plan(const PlanRequest& rq, const SchemeChoice& selected) {
+  const SchemeChoice choice = resolve_dispatch(selected, rq.dims);
+  const int threads = rq.opt.threads;
+  TilePlan p;
+  switch (choice.scheme) {
+    case Scheme::Naive:
+      p = emit_naive(rq.dims, rq.nx, rq.ny, rq.nz, rq.T, rq.slope, threads);
+      break;
+    case Scheme::Cats1:
+      p = emit_cats1(rq.dims, rq.nx, rq.ny, rq.nz, rq.T, rq.slope, choice.tz,
+                     threads);
+      break;
+    case Scheme::Cats2:
+      p = emit_cats2(rq.dims, rq.nx, rq.ny, rq.nz, rq.T, rq.slope, choice.bz,
+                     threads);
+      break;
+    case Scheme::Cats3:
+      p = emit_cats3(rq.nx, rq.ny, rq.nz, rq.T, rq.slope, choice.bz,
+                     choice.bx, threads);
+      break;
+    case Scheme::Mwd: {
+      // The plan is the only record of the group width: the executor backs
+      // each of the threads/m owners with TilePlan::mwd_group workers.
+      const int m = std::max(1, choice.group);
+      const int groups = std::max(1, (threads > 0 ? threads : 1) / m);
+      p = emit_mwd(rq.dims, rq.nx, rq.ny, rq.nz, rq.T, rq.slope, choice.bz,
+                   groups, m);
+      break;
+    }
+    case Scheme::PlutoLike:
+      p = emit_pluto(rq.dims, rq.nx, rq.ny, rq.nz, rq.T, rq.slope, threads);
+      break;
+    case Scheme::Auto:
+      CATS_CHECK(false, "select_scheme never returns Auto");
+      break;
+  }
+  apply_cache_model(p, request_domain(rq),
+                    KernelCosts{rq.slope, rq.cs_eff, rq.elem_bytes}, rq.opt);
+  return p;
+}
+
+TilePlan emit_plan(const PlanRequest& rq) {
+  return emit_plan(rq, select_plan(rq));
 }
 
 }  // namespace cats::plan_ir

@@ -15,21 +15,18 @@
 // sharing discipline; callbacks exposing end_tile() are notified after each
 // tile's slabs, before the tile publishes — the flush/fence point.
 //
-// Intra-tile teams (wave engine): when wave_team_width() resolves m > 1,
-// every plan-level owner ("team") is backed by m workers. Members split each
-// slab's y-rows and meet at a per-team barrier on every slab entry, so
-// member k never starts slab j+1 before all members finished slab j — the
-// same happens-before the single-owner slab order gave, which is why the
-// plan (and its verifier) stay team-width-agnostic. Only the team lead
-// (member 0) performs the tile's edge waits and publishes; the slab-entry
-// barrier of the first slab propagates the acquired edges to the members,
-// and one barrier after the tile's last slab (after end_tile, so members'
-// NT stores are fenced) orders every member's work before the publish.
+// MWD groups: a Scheme::Mwd plan records its group width m
+// (TilePlan::mwd_group, 1 for every other scheme), and every plan-level
+// owner is backed by m workers that pipeline the tile's wavefronts behind a
+// per-group TeamBarrier (wave/mwd.hpp). Only the group lead (member 0)
+// performs the tile's edge waits and publishes; the first window's barrier
+// propagates the acquired edges to the members, and the walk's final
+// barrier orders every member's work before the publish.
 //
-// Synchronization objects mirror the schemes: one ProgressCell per team
+// Synchronization objects mirror the schemes: one ProgressCell per owner
 // (CATS1 split-tiling), one DoneFlag per tile (CATS2/3 diamonds), one
 // SpinBarrier over all workers for phase boundaries, one TeamBarrier per
-// team. All are created only when the plan uses them.
+// MWD group. All are created only when the plan uses them.
 
 #include <algorithm>
 #include <cstdint>
@@ -77,39 +74,22 @@ inline void finish_tile(F& f) {
   if constexpr (requires { f.end_tile(); }) f.end_tile();
 }
 
-/// Member's share of a slab: rows [ylo, yhi] block-partitioned over the m
-/// team members (first `rem` members get one extra row). Returns false for
-/// an empty share.
-inline bool member_slab(const Slab& sl, int member, int m, Slab& out) {
-  const std::int64_t rows = sl.box.yhi - sl.box.ylo + 1;
-  const std::int64_t per = rows / m;
-  const std::int64_t rem = rows % m;
-  const std::int64_t lo =
-      sl.box.ylo + member * per + std::min<std::int64_t>(member, rem);
-  const std::int64_t cnt = per + (member < rem ? 1 : 0);
-  if (cnt <= 0) return false;
-  out = sl;
-  out.box.ylo = lo;
-  out.box.yhi = lo + cnt - 1;
-  return true;
-}
-
 }  // namespace detail
 
 /// Execute `plan`, invoking a per-worker copy of slab_fn(const Slab&) for
-/// every slab, on plan.threads teams of wave_team_width() workers each.
+/// every slab, on plan.threads owners of plan.mwd_group workers each.
 /// slab_fn runs on a worker thread with the dependence oracle (opt.oracle)
 /// already bound, so kernels report rows the usual way via check::note_row.
 template <class SlabFn>
 void execute_plan(const TilePlan& plan, const RunOptions& opt,
                   SlabFn&& slab_fn) {
   const int P = plan.threads;
-  const int m = wave_team_width(plan.dims, plan.scheme, opt);
+  const int m = std::max(1, plan.mwd_group);
   const int W = P * m;
   RunStats* stats = opt.stats;
 
   // Per-owner tile order: the plan's tile order restricted to one owner IS
-  // that team's program order.
+  // that owner's program order.
   std::vector<std::vector<std::int32_t>> order(static_cast<std::size_t>(P));
   bool any_done = false, any_progress = false;
   for (std::size_t i = 0; i < plan.tiles.size(); ++i) {
@@ -129,8 +109,8 @@ void execute_plan(const TilePlan& plan, const RunOptions& opt,
   std::vector<DoneFlag> done(any_done ? plan.tiles.size() : 0);
 
   pool.run([&](int wid) {
-    const int tid = wid / m;     // team == plan-level owner
-    const int member = wid % m;  // 0 == team lead
+    const int tid = wid / m;     // plan-level owner (MWD group)
+    const int member = wid % m;  // 0 == group lead
     const check::ScopedOracleThread oracle_bind(opt.oracle, wid);
     auto fn = slab_fn;  // worker-private walker state (fusion buffers, ...)
     std::int64_t local_spins = 0, local_events = 0, local_ns = 0,
@@ -181,7 +161,7 @@ void execute_plan(const TilePlan& plan, const RunOptions& opt,
         if (m == 1) {
           for_each_slab(plan, tile, fn);
           detail::finish_tile(fn);
-        } else if (plan.scheme == Scheme::Mwd) {
+        } else {
           // MWD group: members pipeline the tube's wavefronts in contiguous
           // time bands behind per-window barriers (schedule + ordering proof
           // in wave/mwd.hpp). The walker flushes inside every window and the
@@ -191,19 +171,6 @@ void execute_plan(const TilePlan& plan, const RunOptions& opt,
           TeamBarrier& tb = team_bar[static_cast<std::size_t>(tid)];
           wave::mwd_walk_tile(plan, tile, member, m,
                               [&] { team_cross(tb); }, fn);
-        } else {
-          // All members run the identical slab enumeration, so their
-          // barrier counts always match (empty shares still arrive). The
-          // first slab's barrier releases the lead's acquired edge waits to
-          // the members.
-          TeamBarrier& tb = team_bar[static_cast<std::size_t>(tid)];
-          for_each_slab(plan, tile, [&](const Slab& sl) {
-            team_cross(tb);
-            Slab part;
-            if (detail::member_slab(sl, member, m, part)) fn(part);
-          });
-          detail::finish_tile(fn);  // members fence own NT stores first
-          team_cross(tb);           // every member done before the publish
         }
         if (member == 0) {
           if (tile.publishes_progress) {

@@ -1,25 +1,23 @@
 #pragma once
-// Sense-reversing barrier for one intra-tile *team* (wave engine).
+// Sense-reversing barrier for one MWD thread *group* (wave/mwd.hpp).
 //
-// CATS1/CATS2 3-D tiles can be wide enough in y that one thread per tile
-// leaves the wavefront's cache-resident working set underused. The wave
-// engine (src/wave) splits such a tile's slabs across a small team of m
-// workers; the team crosses this barrier at every slab boundary so that a
-// member never starts slab k+1 before every member has finished slab k —
-// exactly the happens-before the single-threaded slab order provided.
+// A Scheme::Mwd plan backs each diamond tube with m workers that pipeline
+// the tube's wavefronts; the group crosses this barrier once per wavefront
+// window so that a member never starts window W+1 before every member has
+// finished window W — the ordering the window schedule's proof relies on.
 //
 // Differences from SpinBarrier (threads/barrier.hpp):
-//   * Instantiated per team and crossed once per *slab*, not once per chunk,
-//     so the hot fields are cache-line padded against false sharing between
-//     neighbouring teams in a vector of barriers.
+//   * Instantiated per group and crossed once per *window*, not once per
+//     chunk, so the hot fields are cache-line padded against false sharing
+//     between neighbouring groups in a vector of barriers.
 //   * m == 1 degenerates to a no-op (no atomics, no observer edges): a
-//     one-member team is the classic per-tile executor and needs no intra-
+//     one-member group is the classic per-tile executor and needs no intra-
 //     tile ordering beyond program order.
 //
 // The observer hooks make the barrier SyncEdge-compatible for the
 // dependence oracle (src/check): a crossing is an all-to-all edge among the
-// team's members, reported exactly like SpinBarrier's phase barrier, so
-// oracle runs see every intra-team happens-before edge the schedule relies
+// group's members, reported exactly like SpinBarrier's phase barrier, so
+// oracle runs see every intra-group happens-before edge the schedule relies
 // on.
 //
 // Like SpinBarrier, the body is shim-templated so the model checker
@@ -79,7 +77,7 @@ class BasicTeamBarrier {
   /// failed sense check, so a member that never waits never touches it.
   WaitResult arrive_and_wait() {
     WaitResult r;
-    if (n_ <= 1) return r;  // degenerate team: program order suffices
+    if (n_ <= 1) return r;  // degenerate group: program order suffices
     SyncObserver* const obs = Shim::observer();
     if (obs) obs->on_barrier_arrive(this);
     const bool my_sense = !sense_.load(O::sense_peek());
@@ -106,9 +104,9 @@ class BasicTeamBarrier {
   }
 
  private:
-  // Slab barriers are crossed orders of magnitude more often than phase
-  // barriers; keep the spin short — a team's members finish their row spans
-  // within a few microseconds of each other by construction.
+  // Window barriers are crossed orders of magnitude more often than phase
+  // barriers; keep the spin short — a group's members finish their band of
+  // one window within a few microseconds of each other by construction.
   static constexpr int kSpinLimit = 1024;
   const int n_;
   alignas(64) typename Shim::template Atomic<int> count_{0};

@@ -78,11 +78,11 @@ bool TuneDb::load(const std::string& path) {
     r.entry.run_threads = static_cast<int>(e.get_int("run_threads"));
     r.entry.affinity = e.get_string("affinity");  // absent in pre-affinity DBs
     // Wave knobs: absent in pre-wave DBs — the defaults mean "keep the
-    // caller's value", so old files stay fully usable.
+    // caller's value", so old files stay fully usable. Keys of removed knobs
+    // (team_size) are ignored like any unknown key.
     r.entry.nt_stores = static_cast<int>(e.get_int("nt_stores", -1));
     r.entry.unroll_t = static_cast<int>(e.get_int("unroll_t", -1));
     r.entry.temporal_vec = static_cast<int>(e.get_int("temporal_vec", -1));
-    r.entry.team_size = static_cast<int>(e.get_int("team_size", 0));
     r.entry.mwd_group = static_cast<int>(e.get_int("mwd_group", 0));
     r.entry.prefetch_dist = static_cast<int>(e.get_int("prefetch_dist", -1));
     r.entry.pilot_seconds = e.get_number("pilot_seconds");
@@ -120,7 +120,6 @@ bool TuneDb::save(const std::string& path) const {
        << "\"nt_stores\": " << r.entry.nt_stores << ", "
        << "\"unroll_t\": " << r.entry.unroll_t << ", "
        << "\"temporal_vec\": " << r.entry.temporal_vec << ", "
-       << "\"team_size\": " << r.entry.team_size << ", "
        << "\"mwd_group\": " << r.entry.mwd_group << ", "
        << "\"prefetch_dist\": " << r.entry.prefetch_dist << ", "
        << "\"pilot_seconds\": " << json_number(r.entry.pilot_seconds) << ", "

@@ -88,6 +88,25 @@ TEST(Schemes1D, Cats2RequestFallsBackToCats1) {
   opt.threads = 2;
   expect_bit_equal(scheme_1d<1>(300, 15, opt), reference_1d<1>(300, 15),
                    "cats2-on-1d");
+
+  // The fallback runs the CATS1 wavefront at Eq. 1's chunk height, exactly
+  // as a forced CATS1 would, not at TZ = 1 (no temporal blocking at all).
+  ConstStar1D<1> k(4096, weights_1d<1>());
+  opt.cache_bytes = 1024;  // Eq. 1: TZ = Zd / CS' = 45, inside (1, T)
+  opt.mwd_group = 2;
+  RunOptions cats1 = opt;
+  cats1.scheme = Scheme::Cats1;
+  const plan_ir::TilePlan want =
+      plan_ir::emit_plan(plan_request(k, 100, cats1));
+  EXPECT_GT(want.tz, 1);
+  EXPECT_LT(want.tz, 100);
+  for (Scheme s : {Scheme::Cats2, Scheme::Cats3, Scheme::Mwd}) {
+    opt.scheme = s;
+    const plan_ir::TilePlan got =
+        plan_ir::emit_plan(plan_request(k, 100, opt));
+    EXPECT_EQ(got.scheme, Scheme::Cats1) << scheme_name(s);
+    EXPECT_EQ(got.tz, want.tz) << scheme_name(s);
+  }
 }
 
 TEST(Schemes1D, DegenerateSizes) {

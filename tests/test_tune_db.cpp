@@ -201,6 +201,32 @@ TEST(ApplyTuning, HitFromThisMachineAppliesEntry) {
   const SchemeChoice c = select_scheme(d, costs, tuned, 100);
   EXPECT_EQ(c.scheme, Scheme::Cats2);
   EXPECT_EQ(c.bz, 42);
+
+  // A file written while RunOptions still had the 3D y-split teams carries
+  // a "team_size" key: it must load, its other tuned fields must apply, and
+  // the removed knob is ignored.
+  write_file(path,
+             R"({"version": 1, "entries": [{"machine": )" +
+                 json_quote(key.machine) +
+                 R"(, "kernel": "const2d/s1", "scheme_key": "auto",
+      "shape": )" + json_quote(key.shape) +
+                 R"(, "threads": 2, "scheme": "CATS2", "tz": 0, "bz": 42,
+      "bx": 0, "run_threads": 0, "affinity": "", "nt_stores": 1,
+      "unroll_t": 2, "temporal_vec": -1, "team_size": 2, "mwd_group": 0,
+      "prefetch_dist": 8, "pilot_seconds": 0.125, "analytic_seconds": 0.25,
+      "cache_bytes": 1048576, "cs_slack": 1.2}]})");
+  invalidate_cache();
+  TuneDb legacy;
+  ASSERT_TRUE(legacy.load(path));
+  ASSERT_NE(legacy.find(key), nullptr);
+  const RunOptions old = apply_tuning(opt, "const2d/s1", d);
+  EXPECT_EQ(old.scheme, Scheme::Cats2);
+  EXPECT_EQ(old.bz_override, 42);
+  EXPECT_TRUE(old.nt_stores);
+  EXPECT_EQ(old.unroll_t, 2);
+  EXPECT_EQ(old.prefetch_dist, 8);
+  EXPECT_EQ(old.threads, opt.threads);
+  EXPECT_EQ(old.mwd_group, opt.mwd_group);
   std::remove(path.c_str());
   invalidate_cache();
 }
