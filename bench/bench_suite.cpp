@@ -15,12 +15,6 @@
 // wave/plain ratio is the wave engine's speedup, the tv/wave ratio the
 // register-window gain, and const2d_f32 vs const2d at equal config the fp32
 // precision gain.
-//
-// MWD rows: "mwd_g2" pools pairs of threads over shared diamonds
-// (RunOptions::mwd_group = 2, plan/emit.hpp emit_mwd) at the wave
-// configuration and races "cats2_wave". It degrades gracefully at THREADS=1
-// (the group width clamps to 1), so single-thread baselines stay comparable
-// across the matrix.
 
 #include "common.hpp"
 #include "kernels/banded2d.hpp"
@@ -41,17 +35,15 @@ struct SchemeConfig {
   bool nt_stores;
   int prefetch_dist;
   bool temporal_vec;  // RunOptions::temporal_vec (register-window chains)
-  int mwd_group;      // RunOptions::mwd_group (MWD shared-diamond groups)
 };
 
 constexpr SchemeConfig kConfigs[] = {
-    {"naive", Scheme::Naive, 1, false, 0, false, 0},
-    {"pluto", Scheme::PlutoLike, 1, false, 0, false, 0},
-    {"cats1", Scheme::Cats1, 0, false, 4, false, 0},
-    {"cats2_plain", Scheme::Cats2, 1, false, 0, false, 0},
-    {"cats2_wave", Scheme::Cats2, 0, true, 4, false, 0},
-    {"cats2_tv", Scheme::Cats2, 0, true, 4, true, 0},
-    {"mwd_g2", Scheme::Mwd, 0, true, 4, false, 2},
+    {"naive", Scheme::Naive, 1, false, 0, false},
+    {"pluto", Scheme::PlutoLike, 1, false, 0, false},
+    {"cats1", Scheme::Cats1, 0, false, 4, false},
+    {"cats2_plain", Scheme::Cats2, 1, false, 0, false},
+    {"cats2_wave", Scheme::Cats2, 0, true, 4, false},
+    {"cats2_tv", Scheme::Cats2, 0, true, 4, true},
 };
 
 RunOptions suite_options(const BenchConfig& cfg, const SchemeConfig& sc) {
@@ -61,11 +53,6 @@ RunOptions suite_options(const BenchConfig& cfg, const SchemeConfig& sc) {
   opt.nt_stores = sc.nt_stores;
   opt.prefetch_dist = sc.prefetch_dist;
   opt.temporal_vec = sc.temporal_vec;
-  if (sc.mwd_group > 0) {
-    // Clamp like run() would (largest divisor of the pool) so a THREADS=1
-    // matrix leg times the degenerate single-worker MWD, not a warning.
-    opt.mwd_group = mwd_group_width(sc.mwd_group, opt.threads);
-  }
   return opt;
 }
 
@@ -184,12 +171,6 @@ int main(int argc, char** argv) {
   for (const char* config : {"naive", "cats2_plain", "cats2_wave", "cats2_tv"}) {
     ratio_line(std::string("const2d_f32/") + config + ": fp32 speedup",
                mlups_of("const2d", config), mlups_of("const2d_f32", config));
-  }
-  // The MWD race: shared-diamond groups vs the single-owner wave config.
-  for (const char* kernel :
-       {"const2d", "const2d_f32", "banded2d", "const3d", "banded3d"}) {
-    ratio_line(std::string(kernel) + ": MWD over cats2_wave",
-               mlups_of(kernel, "cats2_wave"), mlups_of(kernel, "mwd_g2"));
   }
   return 0;
 }

@@ -145,7 +145,6 @@ double model_dram_bytes(const K& k, int T, const RunOptions& opt,
       break;
     case Scheme::Cats2:
     case Scheme::Cats3:
-    case Scheme::Mwd:  // c.bz already carries the pooled-budget diamond width
       bytes = cats2_traffic_bytes(
           in, std::max<std::int64_t>(2ll * in.slope, c.bz));
       break;
@@ -186,13 +185,6 @@ double time_scheme(MakeKernel&& make_kernel, int T, const RunOptions& opt,
     json_log().bump_scalar("wait_ns", static_cast<double>(wait_stats.wait_ns));
     json_log().bump_scalar("wait_events",
                            static_cast<double>(wait_stats.wait_events));
-    // Intra-tile share of the wait aggregates above (TeamBarrier crossings,
-    // core/stats.hpp): member imbalance inside MWD groups, as
-    // opposed to tile-to-tile edge waits.
-    json_log().bump_scalar("team_wait_ns",
-                           static_cast<double>(wait_stats.team_wait_ns));
-    json_log().bump_scalar("team_wait_events",
-                           static_cast<double>(wait_stats.team_wait_events));
   }
   if (json_log().enabled()) {
     const auto k = make_kernel();

@@ -9,7 +9,6 @@
 
 #include "analysis/footprint.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -55,35 +54,11 @@ RunOptions make_opt(const plan_ir::TilePlan& p, const Cfg& c) {
   o.nt_stores = c.nt;
   o.temporal_vec = c.tv;
   o.prefetch_dist = 0;
-  o.mwd_group = std::max(1, p.mwd_group);
   return o;
 }
 
-/// MWD plans are walked through the member-partitioned window pipeline
-/// (drive_plan_*_mwd) so the checker certifies the addresses each member
-/// actually touches under the band split, not just the tile union.
-template <class RecK>
-void drive_2d(RecK& wrap, const plan_ir::TilePlan& p, const RunOptions& o,
-              FootprintChecker& chk) {
-  if (p.mwd_group > 1) {
-    drive_plan_2d_mwd(wrap, p, o, chk);
-  } else {
-    drive_plan_2d(wrap, p, o, chk);
-  }
-}
-template <class RecK>
-void drive_3d(RecK& wrap, const plan_ir::TilePlan& p, const RunOptions& o,
-              FootprintChecker& chk) {
-  if (p.mwd_group > 1) {
-    drive_plan_3d_mwd(wrap, p, o, chk);
-  } else {
-    drive_plan_3d(wrap, p, o, chk);
-  }
-}
-
 /// The production plan (plan_ir::emit_plan, the plan run() walks) for
-/// `scheme` forced with explicit tile parameters on `threads` workers; MWD
-/// runs them all as one group.
+/// `scheme` forced with explicit tile parameters on `threads` workers.
 plan_ir::TilePlan forced_plan(int dims, int nx, int ny, int nz, int T, int S,
                               int threads, Scheme scheme, int tz = 0,
                               int bz = 0, int bx = 0) {
@@ -99,7 +74,6 @@ plan_ir::TilePlan forced_plan(int dims, int nx, int ny, int nz, int T, int S,
   rq.opt.tz_override = tz;
   rq.opt.bz_override = bz;
   rq.opt.bx_override = bx;
-  if (scheme == Scheme::Mwd) rq.opt.mwd_group = threads;
   return plan_ir::emit_plan(rq);
 }
 
@@ -168,11 +142,6 @@ void sweep_const2d(const char* prec, std::vector<FpReport>& out) {
                    forced_plan(2, nx, ny, 1, nt_steps, S, threads,
                                Scheme::Cats2, 0, /*bz=*/24),
                    true});
-  // Same diamond geometry, walked through the 2-member window pipeline.
-  cases.push_back(
-      {"mwd",
-       forced_plan(2, nx, ny, 1, nt_steps, S, threads, Scheme::Mwd, 0, 24),
-       true});
   for (auto& sc : cases) arm_nt(sc.plan);
   for (const auto& sc : cases) {
     for (const Cfg& c : sc.cats ? cats_cfgs() : naive_cfgs()) {
@@ -181,17 +150,14 @@ void sweep_const2d(const char* prec, std::vector<FpReport>& out) {
       chk.add_state_grid_2d(k.grid_at(0), 0, "const2d/buf0");
       chk.add_state_grid_2d(k.grid_at(1), 1, "const2d/buf1");
       RecWrap2D<ConstStar2D<S, T>> wrap(k, chk);
-      drive_2d(wrap, sc.plan, make_opt(sc.plan, c), chk);
+      drive_plan_2d(wrap, sc.plan, make_opt(sc.plan, c), chk);
       FpReport rep;
       rep.config = cfg_label("const2d/s2", prec, sc.name, c);
       finish(rep, chk);
       exercise_nt(rep, chk, sc, c);
-      // CATS1 columns (and MWD member bands) produce single-row chain
-      // links; with fusion enabled the TV (or plain fused) body must
-      // actually run.
-      if ((std::strcmp(sc.name, "cats1") == 0 ||
-           std::strcmp(sc.name, "mwd") == 0) &&
-          c.u != 1) {
+      // CATS1 columns produce single-row chain links; with fusion enabled
+      // the TV (or plain fused) body must actually run.
+      if (std::strcmp(sc.name, "cats1") == 0 && c.u != 1) {
         if (c.tv && wrap.tv_calls == 0) {
           rep.diags.push_back(
               {"exercise: temporal_vec enabled but no TV group ran"});
@@ -222,10 +188,6 @@ void sweep_banded2d(std::vector<FpReport>& out) {
                    forced_plan(2, nx, ny, 1, nt_steps, S, threads,
                                Scheme::Cats2, 0, /*bz=*/24),
                    true});
-  cases.push_back(
-      {"mwd",
-       forced_plan(2, nx, ny, 1, nt_steps, S, threads, Scheme::Mwd, 0, 24),
-       true});
   for (auto& sc : cases) arm_nt(sc.plan);
   for (const auto& sc : cases) {
     for (const Cfg& c : sc.cats ? cats_cfgs() : naive_cfgs()) {
@@ -237,14 +199,13 @@ void sweep_banded2d(std::vector<FpReport>& out) {
         chk.add_band_grid_2d(k.band(b), b, "banded2d");
       }
       RecWrap2D<K> wrap(k, chk);
-      drive_2d(wrap, sc.plan, make_opt(sc.plan, c), chk);
+      drive_plan_2d(wrap, sc.plan, make_opt(sc.plan, c), chk);
       FpReport rep;
       rep.config = cfg_label("banded2d/s1", "fp64", sc.name, c);
       finish(rep, chk);
       exercise_nt(rep, chk, sc, c);
-      if ((std::strcmp(sc.name, "cats1") == 0 ||
-           std::strcmp(sc.name, "mwd") == 0) &&
-          c.u != 1 && c.tv && wrap.tv_calls == 0) {
+      if (std::strcmp(sc.name, "cats1") == 0 && c.u != 1 && c.tv &&
+          wrap.tv_calls == 0) {
         rep.diags.push_back(
             {"exercise: temporal_vec enabled but no TV group ran"});
       }
@@ -274,10 +235,6 @@ std::vector<SchemeCase> cases_3d(int nx, int ny, int nz, int nt_steps, int S,
                    forced_plan(3, nx, ny, nz, nt_steps, S, threads,
                                Scheme::Cats3, 0, /*bz=*/4, /*bx=*/8),
                    true});
-  cases.push_back(
-      {"mwd",
-       forced_plan(3, nx, ny, nz, nt_steps, S, threads, Scheme::Mwd, 0, 4),
-       true});
   for (auto& sc : cases) arm_nt(sc.plan);
   return cases;
 }
@@ -286,14 +243,13 @@ template <class K>
 void drive_3d_case(K& k, const SchemeCase& sc, const Cfg& c,
                    FootprintChecker& chk, FpReport& rep) {
   RecWrap3D<K> wrap(k, chk);
-  drive_3d(wrap, sc.plan, make_opt(sc.plan, c), chk);
+  drive_plan_3d(wrap, sc.plan, make_opt(sc.plan, c), chk);
   finish(rep, chk);
   exercise_nt(rep, chk, sc, c);
-  // CATS1 3D tiles (and MWD member bands) chain single-z slabs; with
-  // fusion + TV on, the TV row body must actually run.
-  if ((std::strcmp(sc.name, "cats1") == 0 ||
-       std::strcmp(sc.name, "mwd") == 0) &&
-      c.u != 1 && c.tv && wrap.tv_rows == 0) {
+  // CATS1 3D tiles chain single-z slabs; with fusion + TV on, the TV row
+  // body must actually run.
+  if (std::strcmp(sc.name, "cats1") == 0 && c.u != 1 && c.tv &&
+      wrap.tv_rows == 0) {
     rep.diags.push_back(
         {"exercise: temporal_vec enabled but no TV row ran"});
   }

@@ -33,7 +33,6 @@
 // cannot see: the actual kernel/engine address streams between those sync
 // points.
 
-#include <algorithm>
 #include <cstdarg>
 #include <cstdint>
 #include <cstdio>
@@ -47,7 +46,6 @@
 #include "grid/grid3d.hpp"
 #include "plan/plan.hpp"
 #include "wave/engine.hpp"
-#include "wave/mwd.hpp"
 
 namespace cats {
 namespace analysis {
@@ -665,48 +663,6 @@ void drive_plan_3d(RecK& rk, const plan_ir::TilePlan& p,
     plan_ir::for_each_slab(p, p.tiles[static_cast<std::size_t>(ti)],
                            [&](const plan_ir::Slab& sl) { walker(sl); });
     walker.end_tile();
-    chk.end_tile();
-  }
-  FootprintChecker::uninstall();
-}
-
-/// Grouped (MWD) drivers: emulate each tile's m-member window pipeline
-/// sequentially, member-major. That is a dependence-legal linearization of
-/// the barrier schedule — every producer's time band (hence member index)
-/// is <= its consumer's (wave/mwd.hpp), so running member k fully before
-/// member k+1 preserves every ordering the barriers enforce. The per-window
-/// walker flushes run inside mwd_walk_tile, exactly as in production, so
-/// fused-group shapes and NT/fence points match the parallel execution.
-template <class RecK>
-void drive_plan_2d_mwd(RecK& rk, const plan_ir::TilePlan& p,
-                       const RunOptions& opt, FootprintChecker& chk) {
-  const int m = std::max(1, p.mwd_group);
-  wave::WaveWalker2D<false, RecK> walker(rk, p, opt);
-  chk.install();
-  for (int ti : plan_topo_order(p)) {
-    chk.begin_tile();
-    for (int member = 0; member < m; ++member) {
-      wave::mwd_walk_tile(p, p.tiles[static_cast<std::size_t>(ti)], member, m,
-                          [] {}, walker);
-    }
-    chk.end_tile();
-  }
-  FootprintChecker::uninstall();
-}
-
-/// 3D twin of drive_plan_2d_mwd.
-template <class RecK>
-void drive_plan_3d_mwd(RecK& rk, const plan_ir::TilePlan& p,
-                       const RunOptions& opt, FootprintChecker& chk) {
-  const int m = std::max(1, p.mwd_group);
-  wave::WaveWalker3D<false, RecK> walker(rk, p, opt);
-  chk.install();
-  for (int ti : plan_topo_order(p)) {
-    chk.begin_tile();
-    for (int member = 0; member < m; ++member) {
-      wave::mwd_walk_tile(p, p.tiles[static_cast<std::size_t>(ti)], member, m,
-                          [] {}, walker);
-    }
     chk.end_tile();
   }
   FootprintChecker::uninstall();

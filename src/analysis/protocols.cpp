@@ -7,7 +7,6 @@
 #include "threads/barrier.hpp"
 #include "threads/pin_latch.hpp"
 #include "threads/progress.hpp"
-#include "threads/team_barrier.hpp"
 
 namespace cats {
 namespace analysis {
@@ -25,13 +24,6 @@ struct DynSb {
   static std::memory_order sense_publish() { return g_orders[kSbSensePublish]; }
   static std::memory_order sense_wait() { return g_orders[kSbSenseWait]; }
 };
-struct DynTb {
-  static std::memory_order sense_peek() { return g_orders[kTbSensePeek]; }
-  static std::memory_order arrive() { return g_orders[kTbArrive]; }
-  static std::memory_order count_reset() { return g_orders[kTbCountReset]; }
-  static std::memory_order sense_publish() { return g_orders[kTbSensePublish]; }
-  static std::memory_order sense_wait() { return g_orders[kTbSenseWait]; }
-};
 struct DynPc {
   static std::memory_order reset() { return g_orders[kPcReset]; }
   static std::memory_order publish() { return g_orders[kPcPublish]; }
@@ -48,7 +40,6 @@ struct DynPl {
 };
 
 using SimSpinBarrier = BasicSpinBarrier<SimShim, DynSb>;
-using SimTeamBarrier = BasicTeamBarrier<SimShim, DynTb>;
 using SimProgressCell = BasicProgressCell<SimShim, DynPc>;
 using SimDoneFlag = BasicDoneFlag<SimShim, DynDf>;
 using SimPinLatch = BasicPinLatch<SimShim, DynPl>;
@@ -57,27 +48,21 @@ using SimPinLatch = BasicPinLatch<SimShim, DynPl>;
 // Scenarios. Data handoffs use one fresh SimData per crossing so checks
 // after barrier k never race the writes for barrier k+1.
 
-Scenario barrier_scenario(const char* prim, int n, int crossings) {
+Scenario barrier_scenario(int n, int crossings) {
   Scenario sc;
-  sc.name = std::string(prim) + "/n" + std::to_string(n) + "x" +
-            std::to_string(crossings);
+  sc.name =
+      "SpinBarrier/n" + std::to_string(n) + "x" + std::to_string(crossings);
   sc.nthreads = n;
-  const bool team = std::string(prim) == "TeamBarrier";
-  sc.make = [n, crossings, team]() {
+  sc.make = [n, crossings]() {
     struct World {
-      explicit World(int nn, bool tm) {
+      explicit World(int nn) {
         sim_name_locs({"count_", "sense_"});
-        if (tm) {
-          tb = std::make_unique<SimTeamBarrier>(nn);
-        } else {
-          sb = std::make_unique<SimSpinBarrier>(nn);
-        }
+        sb = std::make_unique<SimSpinBarrier>(nn);
       }
       std::unique_ptr<SimSpinBarrier> sb;
-      std::unique_ptr<SimTeamBarrier> tb;
       std::vector<std::unique_ptr<SimData>> d;
     };
-    auto w = std::make_shared<World>(n, team);
+    auto w = std::make_shared<World>(n);
     for (int c = 0; c < crossings; ++c) {
       for (int i = 0; i < n; ++i) {
         const std::string name =
@@ -87,14 +72,10 @@ Scenario barrier_scenario(const char* prim, int n, int crossings) {
     }
     std::vector<std::function<void()>> bodies;
     for (int i = 0; i < n; ++i) {
-      bodies.push_back([w, i, n, crossings, team] {
+      bodies.push_back([w, i, n, crossings] {
         for (int c = 0; c < crossings; ++c) {
           w->d[(std::size_t)(c * n + i)]->write(100 * c + i);
-          if (team) {
-            w->tb->arrive_and_wait();
-          } else {
-            w->sb->arrive_and_wait();
-          }
+          w->sb->arrive_and_wait();
           for (int j = 0; j < n; ++j) {
             sim_check(w->d[(std::size_t)(c * n + j)]->read() == 100 * c + j,
                       "post-barrier read sees every participant's pre-barrier "
@@ -103,30 +84,6 @@ Scenario barrier_scenario(const char* prim, int n, int crossings) {
         }
       });
     }
-    return bodies;
-  };
-  return sc;
-}
-
-Scenario team_barrier_degenerate() {
-  Scenario sc;
-  sc.name = "TeamBarrier/n1-degenerate";
-  sc.nthreads = 1;
-  sc.make = []() {
-    struct World {
-      World() {
-        sim_name_locs({"count_", "sense_"});
-        tb = std::make_unique<SimTeamBarrier>(1);
-      }
-      std::unique_ptr<SimTeamBarrier> tb;
-    };
-    auto w = std::make_shared<World>();
-    std::vector<std::function<void()>> bodies;
-    bodies.push_back([w] {
-      w->tb->arrive_and_wait();
-      w->tb->arrive_and_wait();
-      sim_check(true, "degenerate team barrier returns");
-    });
     return bodies;
   };
   return sc;
@@ -336,16 +293,6 @@ const std::vector<SiteInfo>& site_table() {
        SpinBarrierProdOrders::sense_publish(), 's'},
       {kSbSenseWait, "SpinBarrier", "sense_wait",
        SpinBarrierProdOrders::sense_wait(), 'l'},
-      {kTbSensePeek, "TeamBarrier", "sense_peek",
-       TeamBarrierProdOrders::sense_peek(), 'l'},
-      {kTbArrive, "TeamBarrier", "arrive", TeamBarrierProdOrders::arrive(),
-       'r'},
-      {kTbCountReset, "TeamBarrier", "count_reset",
-       TeamBarrierProdOrders::count_reset(), 's'},
-      {kTbSensePublish, "TeamBarrier", "sense_publish",
-       TeamBarrierProdOrders::sense_publish(), 's'},
-      {kTbSenseWait, "TeamBarrier", "sense_wait",
-       TeamBarrierProdOrders::sense_wait(), 'l'},
       {kPcReset, "ProgressCell", "reset", ProgressCellProdOrders::reset(),
        's'},
       {kPcPublish, "ProgressCell", "publish",
@@ -388,11 +335,8 @@ std::vector<Scenario> scenarios_for_primitive(const char* prim,
   const std::string p = prim;
   std::vector<Scenario> out;
   if (p == "SpinBarrier") {
-    out.push_back(barrier_scenario("SpinBarrier", 2, 2));
-    if (thorough) out.push_back(barrier_scenario("SpinBarrier", 3, 1));
-  } else if (p == "TeamBarrier") {
-    out.push_back(team_barrier_degenerate());
-    out.push_back(barrier_scenario("TeamBarrier", 2, 2));
+    out.push_back(barrier_scenario(2, 2));
+    if (thorough) out.push_back(barrier_scenario(3, 1));
   } else if (p == "ProgressCell") {
     out.push_back(progress_wait_scenario());
     out.push_back(progress_poll_scenario());
@@ -411,8 +355,8 @@ std::vector<Scenario> scenarios_for_primitive(const char* prim,
 std::vector<PrimCheck> check_all_primitives(const ExploreLimits& lim) {
   reset_site_orders();
   std::vector<PrimCheck> out;
-  for (const char* prim : {"SpinBarrier", "TeamBarrier", "ProgressCell",
-                           "DoneFlag", "PinLatch"}) {
+  for (const char* prim :
+       {"SpinBarrier", "ProgressCell", "DoneFlag", "PinLatch"}) {
     for (Scenario& sc : scenarios_for_primitive(prim, /*thorough=*/true)) {
       PrimCheck pc;
       pc.scenario = sc.name;

@@ -1,7 +1,7 @@
 #pragma once
-// Sync-protocol checks: the five production primitives — SpinBarrier,
-// TeamBarrier, ProgressCell, DoneFlag, and the thread pool's pin-handshake
-// latch — re-instantiated over SimShim and explored exhaustively
+// Sync-protocol checks: the four production primitives — SpinBarrier,
+// ProgressCell, DoneFlag, and the thread pool's pin-handshake latch —
+// re-instantiated over SimShim and explored exhaustively
 // (analysis/explore.hpp). Each scenario encodes the happens-before contract
 // the plan verifier's SyncEdge semantics assume (publish → observe, barrier
 // all-to-all, reset under barrier-reset-barrier) as non-atomic data
@@ -30,11 +30,6 @@ enum SiteId : int {
   kSbCountReset,
   kSbSensePublish,
   kSbSenseWait,
-  kTbSensePeek,
-  kTbArrive,
-  kTbCountReset,
-  kTbSensePublish,
-  kTbSenseWait,
   kPcReset,
   kPcPublish,
   kPcLoad,

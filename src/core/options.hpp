@@ -27,9 +27,6 @@ enum class Scheme {
   Cats2,     ///< Alg. 3: diamond tubes + wavefront traversal
   Cats3,     ///< Sec. II-D: diamond tubes + sequential x-parallelograms (3D)
   PlutoLike, ///< baseline: multi-dimensional time-skewed tiling (see src/baseline)
-  Mwd,       ///< multicore wavefront-diamond: a thread *group* shares one
-             ///< diamond tube, members pipeline consecutive wavefronts inside
-             ///< it (Malas et al.), sizing BZ against the group-shared Z*group
 };
 
 /// Empirical-tuning policy (src/tune). The paper's Eq. 1/2 are analytic; on
@@ -119,15 +116,6 @@ struct RunOptions {
   /// bit-identical.
   bool temporal_vec = false;
 
-  /// Threads cooperating on one MWD diamond tube (Scheme::Mwd): the domain is
-  /// tiled into threads/mwd_group diamond columns sized against the
-  /// group-shared cache Z*mwd_group (Eq. 2 with the pooled budget), and the
-  /// group's members pipeline consecutive wavefronts of the shared tube
-  /// behind a team barrier. Clamped to the largest divisor of `threads` not
-  /// exceeding the request (mwd_group_width below); 1 = one thread per
-  /// diamond (CATS2-shaped schedule). Ignored by every other scheme.
-  int mwd_group = 1;
-
   /// Cache lines software-prefetched at the wavefront's leading edge
   /// (kernel prefetch_front hint distance). 0 disables the hint.
   int prefetch_dist = 4;
@@ -153,18 +141,5 @@ struct RunOptions {
   /// ($CATS_TUNE_DB, else ~/.cache/cats/tune.json).
   const char* tuning_db_path = nullptr;
 };
-
-/// MWD group width: `group` clamped to [1, threads] and then reduced to the
-/// largest divisor of `threads` not exceeding it, so threads/g groups of g
-/// members tile the worker pool exactly (no idle remainder workers and no
-/// group straddling the pool boundary). Pure; the selector applies it and
-/// the emitted plan records the result (TilePlan::mwd_group), which is the
-/// only width the executor reads.
-inline int mwd_group_width(int group, int threads) {
-  const int cap = threads > 0 ? threads : 1;
-  int g = group < 1 ? 1 : (group > cap ? cap : group);
-  while (g > 1 && cap % g != 0) --g;
-  return g;
-}
 
 }  // namespace cats

@@ -78,7 +78,6 @@ RunOptions resolve_options(const K& k, const RunOptions& opt) {
     eff = apply_tuning(eff, kernel_tuning_id(k), domain_shape(k));
   }
   eff.unroll_t = sanitize_unroll_t(eff.unroll_t);
-  eff.mwd_group = sanitize_mwd_group(eff.mwd_group, eff.threads, eff.scheme);
   return eff;
 }
 
@@ -160,7 +159,6 @@ inline const char* scheme_name(Scheme s) {
     case Scheme::Cats1: return "CATS1";
     case Scheme::Cats2: return "CATS2";
     case Scheme::Cats3: return "CATS3";
-    case Scheme::Mwd: return "MWD";
     case Scheme::PlutoLike: return "PluTo-like";
   }
   return "?";

@@ -80,7 +80,7 @@ SchemeChoice select_scheme(const DomainShape& d, const KernelCosts& k,
   const std::size_t z = resolve_cache_bytes(opt);
 
   // CATS-k requires k distinct skewed dimensions, so a 1D domain runs every
-  // CATS2/CATS3/MWD request as the CATS1 wavefront (resolve_dispatch). Those
+  // CATS2/CATS3 request as the CATS1 wavefront (resolve_dispatch). Those
   // choices carry the Eq. 1 chunk height, exactly as a forced CATS1 would.
   const auto cats1_tz = [&] {
     const int tz =
@@ -111,17 +111,6 @@ SchemeChoice select_scheme(const DomainShape& d, const KernelCosts& k,
       return {Scheme::Cats3, 0, std::max<std::int64_t>(bz, 2ll * k.slope),
               std::max<std::int64_t>(bx, 2ll * k.slope)};
     }
-    case Scheme::Mwd: {
-      // Group-shared diamond (Malas et al.): the g members of one group pool
-      // their private-cache shares, so Eq. 2 sizes the diamond against Z*g.
-      const int g = mwd_group_width(opt.mwd_group, opt.threads);
-      std::int64_t bz =
-          opt.bz_override
-              ? opt.bz_override
-              : compute_bz(z * static_cast<std::size_t>(g), d, k);
-      return {Scheme::Mwd, tz_1d(),
-              std::max<std::int64_t>(bz, 2ll * k.slope), 0, g};
-    }
     case Scheme::PlutoLike:
       return {Scheme::PlutoLike, 0, 0, 0};
     case Scheme::Auto:
@@ -132,28 +121,18 @@ SchemeChoice select_scheme(const DomainShape& d, const KernelCosts& k,
   // the naive scheme). Otherwise: CATS(k-1) while its wavefront spans at
   // least min_wavefront_timesteps, else CATS(k).
   const int tz = opt.tz_override ? opt.tz_override : compute_tz(z, d, k);
-  // MWD opt-in: a requested group width > 1 moves the diamond branch of the
-  // Auto path onto the group-shared budget Z*g (per-thread Z too small for
-  // the working set is exactly what grouping fixes).
-  const int g = d.dims >= 2 ? mwd_group_width(opt.mwd_group, opt.threads) : 1;
-  const std::size_t z_grp = z * static_cast<std::size_t>(g);
   // Degenerate cache (Z below even one 2s-wide diamond's working set, e.g. a
   // deliberately tiny Z parameter): no wavefront of any CATS scheme can stay
   // resident, so time skewing only adds tile overhead — stream naively.
-  // Unless a group pools enough cache for a shared diamond: then MWD rescues
-  // the run from the naive fallback.
   if (d.dims >= 2 && tz == 0 && !opt.tz_override && !opt.bz_override &&
       eq2_bz_raw(z, d, k) < 2.0 * k.slope) {
-    if (g > 1 && eq2_bz_raw(z_grp, d, k) >= 2.0 * k.slope) {
-      return {Scheme::Mwd, 0, compute_bz(z_grp, d, k), 0, g};
-    }
     return {Scheme::Naive, 0, 0, 0};
   }
   if (d.dims == 1 || tz >= opt.min_wavefront_timesteps || tz >= T) {
     return {Scheme::Cats1, std::max(1, std::min(tz, T)), 0, 0};
   }
   const std::int64_t bz =
-      opt.bz_override ? opt.bz_override : compute_bz(g > 1 ? z_grp : z, d, k);
+      opt.bz_override ? opt.bz_override : compute_bz(z, d, k);
   // A CATS2 diamond spans BZ/s timesteps; when even that drops below the
   // rule-of-thumb depth (enormous 3D domains / tiny caches), move to CATS3.
   if (d.dims >= 3 && bz / k.slope < opt.min_wavefront_timesteps &&
@@ -164,14 +143,11 @@ SchemeChoice select_scheme(const DomainShape& d, const KernelCosts& k,
     return {Scheme::Cats3, 0, std::max<std::int64_t>(bz3, 2ll * k.slope),
             std::max<std::int64_t>(bx, 2ll * k.slope)};
   }
-  if (g > 1) return {Scheme::Mwd, 0, bz, 0, g};
   return {Scheme::Cats2, 0, bz, 0};
 }
 
 SchemeChoice resolve_dispatch(const SchemeChoice& c, int dims) {
-  if (dims == 1 &&
-      (c.scheme == Scheme::Cats2 || c.scheme == Scheme::Cats3 ||
-       c.scheme == Scheme::Mwd)) {
+  if (dims == 1 && (c.scheme == Scheme::Cats2 || c.scheme == Scheme::Cats3)) {
     return {Scheme::Cats1, std::max(1, c.tz), 0, 0};
   }
   if (dims == 2 && c.scheme == Scheme::Cats3) {
@@ -210,8 +186,6 @@ RunOptions apply_tuning(const RunOptions& opt, const std::string& kernel_id,
   if (e->nt_stores >= 0) tuned.nt_stores = e->nt_stores != 0;
   if (e->unroll_t >= 0) tuned.unroll_t = e->unroll_t;
   if (e->temporal_vec >= 0) tuned.temporal_vec = e->temporal_vec != 0;
-  if (e->mwd_group > 0 && e->mwd_group <= opt.threads)
-    tuned.mwd_group = e->mwd_group;
   if (e->prefetch_dist >= 0) tuned.prefetch_dist = e->prefetch_dist;
   if (e->scheme == "Naive") {
     tuned.scheme = Scheme::Naive;
@@ -225,13 +199,9 @@ RunOptions apply_tuning(const RunOptions& opt, const std::string& kernel_id,
     tuned.scheme = Scheme::Cats3;
     tuned.bz_override = static_cast<int>(e->bz);
     tuned.bx_override = static_cast<int>(e->bx > 0 ? e->bx : e->bz);
-  } else if (e->scheme == "MWD") {
-    // bz == 0 is valid here: the tuner's MWD probes record "re-derive via
-    // Eq. 2 at the pooled budget", which select_scheme does for override 0.
-    tuned.scheme = Scheme::Mwd;
-    if (e->bz > 0) tuned.bz_override = static_cast<int>(e->bz);
   }
-  // Unrecognized scheme names (newer DB version) leave opt untouched.
+  // Unrecognized scheme names (a newer DB version, or the retired "MWD")
+  // leave the caller's scheme and tile overrides untouched.
   return tuned;
 }
 
@@ -249,30 +219,6 @@ int sanitize_unroll_t(int unroll_t) {
                  unroll_t, kMax, clamped, kMax);
   }
   return clamped;
-}
-
-int sanitize_mwd_group(int mwd_group, int threads, Scheme scheme) {
-  if (mwd_group > 1 && scheme != Scheme::Mwd && scheme != Scheme::Auto) {
-    static std::atomic<bool> noted{false};
-    if (!noted.exchange(true)) {
-      std::fprintf(stderr,
-                   "cats: mwd_group=%d ignored: only Scheme::Mwd (or Auto, "
-                   "which may pick it) groups threads over a shared diamond\n",
-                   mwd_group);
-    }
-    return 1;
-  }
-  const int g = mwd_group_width(mwd_group, threads);
-  if (g != (mwd_group < 1 ? 1 : mwd_group)) {
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true)) {
-      std::fprintf(stderr,
-                   "cats: mwd_group=%d does not tile threads=%d; clamped to "
-                   "%d (largest divisor of the worker pool)\n",
-                   mwd_group, threads, g);
-    }
-  }
-  return g;
 }
 
 }  // namespace cats

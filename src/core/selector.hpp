@@ -35,9 +35,8 @@ struct KernelCosts {
 struct SchemeChoice {
   Scheme scheme = Scheme::Naive;
   int tz = 0;           ///< CATS1 chunk height (Cats1; any 1D choice)
-  std::int64_t bz = 0;  ///< CATS2/CATS3/MWD diamond width
+  std::int64_t bz = 0;  ///< CATS2/CATS3 diamond width
   std::int64_t bx = 0;  ///< CATS3 x-parallelogram width
-  int group = 0;        ///< MWD group width (0 when scheme != Mwd)
 };
 
 /// Eq. 1. Returns 0 when even one timestep does not fit; clamped to INT_MAX
@@ -58,8 +57,8 @@ std::int64_t compute_bz3(std::size_t cache_bytes, const KernelCosts& k);
 SchemeChoice select_scheme(const DomainShape& d, const KernelCosts& k,
                            const RunOptions& opt, int T);
 
-/// Dimensional dispatch fallbacks applied after select_scheme: CATS2, CATS3
-/// and MWD in 1D run the CATS1 wavefront (CATS1 is CATS(d) there) at the
+/// Dimensional dispatch fallbacks applied after select_scheme: CATS2 and
+/// CATS3 in 1D run the CATS1 wavefront (CATS1 is CATS(d) there) at the
 /// choice's Eq. 1 tz; CATS3 in 2D runs CATS2. Applied by plan emission
 /// (plan_ir::emit_plan), the one path run() executes.
 SchemeChoice resolve_dispatch(const SchemeChoice& c, int dims);
@@ -91,12 +90,5 @@ RunOptions apply_tuning(const RunOptions& opt, const std::string& kernel_id,
 /// with a one-time stderr diagnostic naming the original value. In-range
 /// values pass through untouched.
 int sanitize_unroll_t(int unroll_t);
-
-/// RunOptions::mwd_group sanitizer: same math as mwd_group_width
-/// (clamp to [1, threads], then the largest divisor of threads), but with a
-/// one-time stderr diagnostic when the request had to be adjusted, and a
-/// one-time note when a non-default group is set on a scheme that ignores it
-/// (every scheme except Mwd/Auto). Returns the effective group width.
-int sanitize_mwd_group(int mwd_group, int threads, Scheme scheme);
 
 }  // namespace cats

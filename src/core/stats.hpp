@@ -38,23 +38,16 @@ namespace cats {
 /// - `barriers`: global barrier crossings, counted per participant (a
 ///   P-thread chunk boundary adds 2*P: two barriers guard the progress-cell
 ///   reset). Naive adds one per participant per timestep; CATS2/CATS3 use no
-///   global barriers inside the sweep; MWD adds each member's crossings of
-///   its group's window barrier.
-/// - `team_wait_events`/`team_wait_spins`/`team_wait_ns`: the TeamBarrier
-///   idle-spin share of the wait_* totals above — MWD group members stalled
-///   at a wavefront-window barrier. Crossings that blocked are counted in
-///   BOTH the wait_* aggregates and this breakdown, so wait_ns stays the
-///   single number to compare against runtime and team_wait_ns attributes
-///   how much of it is intra-tile (member imbalance) rather than
-///   tile-to-tile (schedule dependencies).
+///   global barriers inside the sweep.
+/// - `team_wait_ns`: always 0 since MWD was removed (every plan owner is one
+///   worker, so there are no intra-tile barriers); kept for the repository
+///   benchmark, which reports it.
 struct RunStats {
   std::atomic<std::int64_t> wait_events{0};
   std::atomic<std::int64_t> wait_spins{0};
   std::atomic<std::int64_t> wait_ns{0};
   std::atomic<std::int64_t> tiles_processed{0};
   std::atomic<std::int64_t> barriers{0};
-  std::atomic<std::int64_t> team_wait_events{0};
-  std::atomic<std::int64_t> team_wait_spins{0};
   std::atomic<std::int64_t> team_wait_ns{0};
 
   void reset() {
@@ -65,8 +58,6 @@ struct RunStats {
     wait_ns.store(0, std::memory_order_relaxed);
     tiles_processed.store(0, std::memory_order_relaxed);
     barriers.store(0, std::memory_order_relaxed);
-    team_wait_events.store(0, std::memory_order_relaxed);
-    team_wait_spins.store(0, std::memory_order_relaxed);
     team_wait_ns.store(0, std::memory_order_relaxed);
   }
 
@@ -76,18 +67,6 @@ struct RunStats {
       wait_events.fetch_add(1, std::memory_order_relaxed);
       wait_spins.fetch_add(w.spins, std::memory_order_relaxed);
       wait_ns.fetch_add(w.ns, std::memory_order_relaxed);
-    }
-  }
-
-  /// Team-barrier crossing: counted in the wait_* aggregates AND the
-  /// team_wait_* breakdown (see the field docs above).
-  void add_team_wait(const WaitResult& w) {
-    if (w.spins > 0) {
-      add_wait(w);
-      // order: relaxed — independent counters; read only after the join.
-      team_wait_events.fetch_add(1, std::memory_order_relaxed);
-      team_wait_spins.fetch_add(w.spins, std::memory_order_relaxed);
-      team_wait_ns.fetch_add(w.ns, std::memory_order_relaxed);
     }
   }
 };

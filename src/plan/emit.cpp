@@ -222,45 +222,6 @@ TilePlan emit_cats2(int dims, std::int64_t nx, std::int64_t ny,
   return p;
 }
 
-TilePlan emit_mwd(int dims, std::int64_t nx, std::int64_t ny, std::int64_t nz,
-                  int T, int slope, std::int64_t bz, int groups, int group) {
-  TilePlan p = plan_shell(dims, nx, ny, nz, T, slope, Scheme::Mwd);
-  p.bz = std::max<std::int64_t>(bz, 2ll * slope);
-  p.mwd_group = std::max(1, group);
-  p.phases = T > 0 ? 1 : 0;
-  p.phase_sync = PhaseSync::None;
-  p.threads = std::max(1, groups);
-  if (T <= 0) return p;
-
-  // Identical diamond geometry and Done-edge structure to CATS2 with P =
-  // groups owners; the member-level wavefront pipeline is an executor-side
-  // refinement of each tile's serial slab walk (wave/mwd.hpp proves it), so
-  // the tile-granular dependence/deadlock theorems carry over unchanged.
-  const std::int64_t tiled = dims == 2 ? nx : ny;
-  const DiamondTiling dt{slope, p.bz, tiled, 1, T};
-  std::int32_t next_group = 0;
-  emit_diamonds(p, dt, groups,
-                [&](std::int64_t i, std::int64_t j, Range tr,
-                    std::int32_t owner) -> std::pair<std::int32_t, std::int32_t> {
-                  Tile tile;
-                  tile.kind = TileKind::DiamondTube;
-                  tile.owner = owner;
-                  tile.phase = 0;
-                  tile.group = next_group++;
-                  tile.first_in_group = true;
-                  tile.publishes_done = true;
-                  tile.front_hints = true;
-                  tile.t0 = static_cast<int>(tr.lo);
-                  tile.t1 = static_cast<int>(tr.hi);
-                  tile.di = i;
-                  tile.dj = j;
-                  const auto idx = static_cast<std::int32_t>(p.tiles.size());
-                  p.tiles.push_back(tile);
-                  return {idx, idx};
-                });
-  return p;
-}
-
 TilePlan emit_cats3(std::int64_t nx, std::int64_t ny, std::int64_t nz, int T,
                     int slope, std::int64_t bz, std::int64_t bx, int threads) {
   TilePlan p = plan_shell(3, nx, ny, nz, T, slope, Scheme::Cats3);
@@ -451,15 +412,6 @@ void apply_cache_model(TilePlan& p, const DomainShape& d,
       p.clamped = p.certify_residency &&
                   cats3_bz_raw(z, costs) < 2.0 * costs.slope;
       break;
-    case Scheme::Mwd: {
-      // The diamond is shared by the whole group, so the budget Eq. 2 sized
-      // it against — and the one the verifier certifies — is the pooled Z*g.
-      const auto g = static_cast<std::size_t>(std::max(1, p.mwd_group));
-      p.certify_residency = opt.bz_override == 0;
-      p.clamped = p.certify_residency &&
-                  eq2_bz_raw(z * g, d, costs) < 2.0 * costs.slope;
-      break;
-    }
     default:
       break;
   }
@@ -493,15 +445,6 @@ TilePlan emit_plan(const PlanRequest& rq, const SchemeChoice& selected) {
       p = emit_cats3(rq.nx, rq.ny, rq.nz, rq.T, rq.slope, choice.bz,
                      choice.bx, threads);
       break;
-    case Scheme::Mwd: {
-      // The plan is the only record of the group width: the executor backs
-      // each of the threads/m owners with TilePlan::mwd_group workers.
-      const int m = std::max(1, choice.group);
-      const int groups = std::max(1, (threads > 0 ? threads : 1) / m);
-      p = emit_mwd(rq.dims, rq.nx, rq.ny, rq.nz, rq.T, rq.slope, choice.bz,
-                   groups, m);
-      break;
-    }
     case Scheme::PlutoLike:
       p = emit_pluto(rq.dims, rq.nx, rq.ny, rq.nz, rq.T, rq.slope, threads);
       break;

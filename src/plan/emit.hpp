@@ -90,27 +90,6 @@ TilePlan emit_cats2(int dims, std::int64_t nx, std::int64_t ny,
 TilePlan emit_cats3(std::int64_t nx, std::int64_t ny, std::int64_t nz, int T,
                     int slope, std::int64_t bz, std::int64_t bx, int threads);
 
-/// MWD: multicore wavefront-diamond blocking (Malas et al.; 2D/3D, a 1D
-/// domain dispatches to CATS1).
-///
-/// CATS2 with one tile per thread sizes every diamond against a *per-thread*
-/// cache share Z, which starves high-CS kernels (banded matrices) and
-/// multiplies sync volume with the thread count. MWD instead tiles the
-/// domain into `groups` diamond tubes, BZ sized against the *pooled* share
-/// Z*group (Eq. 2 with Z*group: BZ grows by sqrt(group)), and backs each
-/// tube with a `group`-member thread group that pipelines the tube's
-/// interior wavefronts (wave/mwd.hpp has the schedule and its
-/// happens-before proof; plan/execute.hpp runs it behind a per-group
-/// TeamBarrier with lead-only Done waits/publishes).
-///
-/// The plan itself is group-agnostic — the same DiamondTube tiles and Done
-/// edges as CATS2 over `groups` owners, with the width recorded in
-/// TilePlan::mwd_group — so the static verifier's dependence, residency and
-/// deadlock certificates apply verbatim, with residency granted at the
-/// pooled budget Z*group.
-TilePlan emit_mwd(int dims, std::int64_t nx, std::int64_t ny, std::int64_t nz,
-                  int T, int slope, std::int64_t bz, int groups, int group);
-
 /// PluTo-like baseline: classic multi-dimensional time skewing, standing in
 /// for the code PluTo 0.4.2 generates for these stencil nests (the real
 /// polyhedral tool is not available offline; see DESIGN.md §5). Every
@@ -144,7 +123,7 @@ struct PlanRequest {
 SchemeChoice select_plan(const PlanRequest& rq);
 
 /// Emission step: resolve_dispatch(choice, rq.dims) (CATS3 in 2D -> CATS2,
-/// CATS2/CATS3/MWD in 1D -> CATS1), emit that scheme's plan and fill its
+/// CATS2/CATS3 in 1D -> CATS1), emit that scheme's plan and fill its
 /// residency-certification fields: the partitioned cache share, the cost
 /// model, the certify flag (set only when the tile parameter came from
 /// Eq. 1/2) and `clamped` (a selector floor inflated it past the cache

@@ -15,22 +15,15 @@
 // sharing discipline; callbacks exposing end_tile() are notified after each
 // tile's slabs, before the tile publishes — the flush/fence point.
 //
-// MWD groups: a Scheme::Mwd plan records its group width m
-// (TilePlan::mwd_group, 1 for every other scheme), and every plan-level
-// owner is backed by m workers that pipeline the tile's wavefronts behind a
-// per-group TeamBarrier (wave/mwd.hpp). Only the group lead (member 0)
-// performs the tile's edge waits and publishes; the first window's barrier
-// propagates the acquired edges to the members, and the walk's final
-// barrier orders every member's work before the publish.
+// Every plan owner is exactly one worker: the paper's minimalist
+// parallelization has tile-to-tile sync only, no intra-tile barriers.
 //
 // Synchronization objects mirror the schemes: one ProgressCell per owner
 // (CATS1 split-tiling), one DoneFlag per tile (CATS2/3 diamonds), one
-// SpinBarrier over all workers for phase boundaries, one TeamBarrier per
-// MWD group. All are created only when the plan uses them.
+// SpinBarrier over all workers for phase boundaries. All are created only
+// when the plan uses them.
 
-#include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "check/oracle.hpp"
@@ -39,9 +32,7 @@
 #include "plan/plan.hpp"
 #include "threads/barrier.hpp"
 #include "threads/progress.hpp"
-#include "threads/team_barrier.hpp"
 #include "threads/thread_pool.hpp"
-#include "wave/mwd.hpp"
 
 namespace cats::plan_ir {
 
@@ -77,15 +68,13 @@ inline void finish_tile(F& f) {
 }  // namespace detail
 
 /// Execute `plan`, invoking a per-worker copy of slab_fn(const Slab&) for
-/// every slab, on plan.threads owners of plan.mwd_group workers each.
+/// every slab, on plan.threads workers (one per plan owner).
 /// slab_fn runs on a worker thread with the dependence oracle (opt.oracle)
 /// already bound, so kernels report rows the usual way via check::note_row.
 template <class SlabFn>
 void execute_plan(const TilePlan& plan, const RunOptions& opt,
                   SlabFn&& slab_fn) {
   const int P = plan.threads;
-  const int m = std::max(1, plan.mwd_group);
-  const int W = P * m;
   RunStats* stats = opt.stats;
 
   // Per-owner tile order: the plan's tile order restricted to one owner IS
@@ -100,33 +89,17 @@ void execute_plan(const TilePlan& plan, const RunOptions& opt,
   }
   const detail::EdgeIndex in(plan);
 
-  ThreadPool pool(W, opt.affinity, nullptr, opt.pin_cpus);
-  SpinBarrier bar(W);
-  std::deque<TeamBarrier> team_bar;
-  for (int i = 0; m > 1 && i < P; ++i) team_bar.emplace_back(m);
+  ThreadPool pool(P, opt.affinity, nullptr, opt.pin_cpus);
+  SpinBarrier bar(P);
   std::vector<ProgressCell> progress(any_progress ? static_cast<std::size_t>(P)
                                                   : 0);
   std::vector<DoneFlag> done(any_done ? plan.tiles.size() : 0);
 
-  pool.run([&](int wid) {
-    const int tid = wid / m;     // plan-level owner (MWD group)
-    const int member = wid % m;  // 0 == group lead
-    const check::ScopedOracleThread oracle_bind(opt.oracle, wid);
+  pool.run([&](int tid) {
+    const check::ScopedOracleThread oracle_bind(opt.oracle, tid);
     auto fn = slab_fn;  // worker-private walker state (fusion buffers, ...)
     std::int64_t local_spins = 0, local_events = 0, local_ns = 0,
                  local_tiles = 0, local_barriers = 0;
-    // TeamBarrier idle-spin accounting (RunStats team_wait_* breakdown,
-    // also folded into the wait_* aggregates at the flush below).
-    std::int64_t tw_spins = 0, tw_events = 0, tw_ns = 0;
-    auto team_cross = [&](TeamBarrier& tb) {
-      const WaitResult w = tb.arrive_and_wait();
-      ++local_barriers;
-      if (w.spins > 0) {
-        ++tw_events;
-        tw_spins += w.spins;
-        tw_ns += w.ns;
-      }
-    };
     const std::vector<std::int32_t>& mine =
         order[static_cast<std::size_t>(tid)];
     std::size_t next = 0;
@@ -135,50 +108,34 @@ void execute_plan(const TilePlan& plan, const RunOptions& opt,
              plan.tiles[static_cast<std::size_t>(mine[next])].phase == phase) {
         const std::int32_t idx = mine[next];
         const Tile& tile = plan.tiles[static_cast<std::size_t>(idx)];
-        if (member == 0) {
-          WaitResult w;
-          for (std::int32_t ei = in.offsets[static_cast<std::size_t>(idx)];
-               ei < in.offsets[static_cast<std::size_t>(idx) + 1]; ++ei) {
-            const SyncEdge& e =
-                plan.edges[static_cast<std::size_t>(in.edge_ids[static_cast<std::size_t>(ei)])];
-            WaitResult a;
-            if (e.kind == SyncEdge::Kind::Done) {
-              a = done[static_cast<std::size_t>(e.from)].wait();
-            } else {
-              const std::int32_t from_owner =
-                  plan.tiles[static_cast<std::size_t>(e.from)].owner;
-              a = progress[static_cast<std::size_t>(from_owner)].wait_ge(e.value);
-            }
-            w.spins += a.spins;
-            w.ns += a.ns;
+        WaitResult w;
+        for (std::int32_t ei = in.offsets[static_cast<std::size_t>(idx)];
+             ei < in.offsets[static_cast<std::size_t>(idx) + 1]; ++ei) {
+          const SyncEdge& e =
+              plan.edges[static_cast<std::size_t>(in.edge_ids[static_cast<std::size_t>(ei)])];
+          WaitResult a;
+          if (e.kind == SyncEdge::Kind::Done) {
+            a = done[static_cast<std::size_t>(e.from)].wait();
+          } else {
+            const std::int32_t from_owner =
+                plan.tiles[static_cast<std::size_t>(e.from)].owner;
+            a = progress[static_cast<std::size_t>(from_owner)].wait_ge(e.value);
           }
-          if (w.spins > 0) {
-            ++local_events;
-            local_spins += w.spins;
-            local_ns += w.ns;
-          }
+          w.spins += a.spins;
+          w.ns += a.ns;
         }
-        if (m == 1) {
-          for_each_slab(plan, tile, fn);
-          detail::finish_tile(fn);
-        } else {
-          // MWD group: members pipeline the tube's wavefronts in contiguous
-          // time bands behind per-window barriers (schedule + ordering proof
-          // in wave/mwd.hpp). The walker flushes inside every window and the
-          // walk ends with a barrier, so the members' work — NT stores
-          // fenced — is ordered before the lead's publish below; the first
-          // window's barrier releases the lead's acquired edge waits.
-          TeamBarrier& tb = team_bar[static_cast<std::size_t>(tid)];
-          wave::mwd_walk_tile(plan, tile, member, m,
-                              [&] { team_cross(tb); }, fn);
+        if (w.spins > 0) {
+          ++local_events;
+          local_spins += w.spins;
+          local_ns += w.ns;
         }
-        if (member == 0) {
-          if (tile.publishes_progress) {
-            progress[static_cast<std::size_t>(tid)].publish(tile.u);
-          }
-          if (tile.publishes_done) done[static_cast<std::size_t>(idx)].set();
-          if (tile.first_in_group) ++local_tiles;
+        for_each_slab(plan, tile, fn);
+        detail::finish_tile(fn);
+        if (tile.publishes_progress) {
+          progress[static_cast<std::size_t>(tid)].publish(tile.u);
         }
+        if (tile.publishes_done) done[static_cast<std::size_t>(idx)].set();
+        if (tile.first_in_group) ++local_tiles;
         ++next;
       }
       switch (plan.phase_sync) {
@@ -193,7 +150,7 @@ void execute_plan(const TilePlan& plan, const RunOptions& opt,
           // starts (two barriers so no thread can observe a stale counter
           // from the previous phase).
           bar.arrive_and_wait();
-          if (!progress.empty() && member == 0) {
+          if (!progress.empty()) {
             progress[static_cast<std::size_t>(tid)].reset();
           }
           bar.arrive_and_wait();
@@ -202,20 +159,12 @@ void execute_plan(const TilePlan& plan, const RunOptions& opt,
       }
     }
     if (stats) {
-      // Team-barrier stalls count in BOTH the wait_* aggregates and the
-      // team_wait_* breakdown (core/stats.hpp).
-      const std::int64_t ev = local_events + tw_events;
-      const std::int64_t sp = local_spins + tw_spins;
-      const std::int64_t ns = local_ns + tw_ns;
       // order: relaxed — independent counters, aggregated once per worker.
-      stats->wait_events.fetch_add(ev, std::memory_order_relaxed);
-      stats->wait_spins.fetch_add(sp, std::memory_order_relaxed);
-      stats->wait_ns.fetch_add(ns, std::memory_order_relaxed);
+      stats->wait_events.fetch_add(local_events, std::memory_order_relaxed);
+      stats->wait_spins.fetch_add(local_spins, std::memory_order_relaxed);
+      stats->wait_ns.fetch_add(local_ns, std::memory_order_relaxed);
       stats->tiles_processed.fetch_add(local_tiles, std::memory_order_relaxed);
       stats->barriers.fetch_add(local_barriers, std::memory_order_relaxed);
-      stats->team_wait_events.fetch_add(tw_events, std::memory_order_relaxed);
-      stats->team_wait_spins.fetch_add(tw_spins, std::memory_order_relaxed);
-      stats->team_wait_ns.fetch_add(tw_ns, std::memory_order_relaxed);
     }
   });
 }

@@ -146,11 +146,6 @@ struct TilePlan {
   // Tile parameters the emitter actually used (post-clamp).
   int tz = 0;
   std::int64_t bz = 0, bx = 0;
-  /// MWD (Scheme::Mwd) group width g: `threads` above counts the diamond
-  /// *groups*; the executor runs threads*g workers, g members pipelining the
-  /// wavefronts of each shared tube. The residency certificate is granted
-  /// against the pooled budget cache_bytes*g (Eq. 2 with Z*g). 1 elsewhere.
-  int mwd_group = 1;
 
   // Cache model for residency certification (plan/verify.hpp). cache_bytes
   // is Z; cs_eff and elem_bytes follow core/selector.hpp. certify_residency

@@ -575,22 +575,14 @@ VerifyReport verify_plan(const TilePlan& p, const VerifyOptions& opt) {
   // whose parameter was clamp-floored by the selector is expected to exceed
   // Z — warning, not error.
   if (p.certify_residency && p.cache_bytes > 0 && p.cs_eff > 0.0) {
-    // MWD shares one diamond across a g-member group: the budget its working
-    // set must fit — and the Z Eq. 2 is recomputed against below — is the
-    // pooled Z*g, not one member's private share.
-    const std::size_t z_eff =
-        p.scheme == Scheme::Mwd
-            ? p.cache_bytes *
-                  static_cast<std::size_t>(std::max(1, p.mwd_group))
-            : p.cache_bytes;
     std::int64_t allow_cells = 0;
-    if (p.scheme == Scheme::Cats2 || p.scheme == Scheme::Mwd) {
+    if (p.scheme == Scheme::Cats2) {
       allow_cells = p.bz * (p.dims == 2 ? 1 : p.nx);
     } else if (p.scheme == Scheme::Cats3) {
       allow_cells = p.bz * p.bx;
     }
     const auto allowed =
-        static_cast<std::int64_t>(z_eff) +
+        static_cast<std::int64_t>(p.cache_bytes) +
         static_cast<std::int64_t>(
             std::ceil(p.cs_eff * static_cast<double>(allow_cells) *
                       p.elem_bytes));
@@ -605,10 +597,7 @@ VerifyReport verify_plan(const TilePlan& p, const VerifyOptions& opt) {
       d.limit = allowed;
       d.detail = "wavefront " + std::to_string(max_ws_wavefront) + ", " +
                  std::to_string(max_ws_cells) + " cells; Z=" +
-                 std::to_string(z_eff) +
-                 (p.scheme == Scheme::Mwd && p.mwd_group > 1
-                      ? " (pooled x" + std::to_string(p.mwd_group) + ")"
-                      : "") +
+                 std::to_string(p.cache_bytes) +
                  (p.cache_tenants > 1
                       ? " (1/" + std::to_string(p.cache_tenants) +
                             " tenant share)"
@@ -635,11 +624,10 @@ VerifyReport verify_plan(const TilePlan& p, const VerifyOptions& opt) {
         d.limit = lim;
         sink.emit(std::move(d));
       }
-    } else if (p.scheme == Scheme::Cats2 || p.scheme == Scheme::Cats3 ||
-               p.scheme == Scheme::Mwd) {
+    } else if (p.scheme == Scheme::Cats2 || p.scheme == Scheme::Cats3) {
       const std::int64_t lim = p.scheme == Scheme::Cats3
                                    ? compute_bz3(p.cache_bytes, costs)
-                                   : compute_bz(z_eff, dsh, costs);
+                                   : compute_bz(p.cache_bytes, dsh, costs);
       const std::int64_t got = std::max(p.bz, p.scheme == Scheme::Cats3
                                                   ? p.bx
                                                   : std::int64_t{0});

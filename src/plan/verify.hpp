@@ -65,7 +65,7 @@ const char* diag_kind_name(DiagKind k);
 inline bool nt_store_eligible(const TilePlan& p) {
   return p.certify_residency && !p.clamped &&
          (p.scheme == Scheme::Cats1 || p.scheme == Scheme::Cats2 ||
-          p.scheme == Scheme::Cats3 || p.scheme == Scheme::Mwd);
+          p.scheme == Scheme::Cats3);
 }
 
 struct Diag {

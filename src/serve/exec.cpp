@@ -22,6 +22,44 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
+constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
+
+/// FNV-1a 64 step over the 8 bytes of `d`, least significant first.
+void fnv1a_add(std::uint64_t& h, double d) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &d, sizeof bits);
+  for (int i = 0; i < 8; ++i) {
+    h ^= (bits >> (8 * i)) & 0xFF;
+    h *= 1099511628211ULL;
+  }
+}
+
+/// fnv1a() of the vector k.copy_result_to(v, T) fills, and that vector's
+/// middle element, read straight from the result grid in the same order. A
+/// served job needs only these two, and the full-size copy would be a third
+/// grid-sized allocation per job.
+template <class K>
+std::uint64_t result_fnv1a(const K& k, int T, std::int64_t points,
+                           double* middle) {
+  const auto& g = k.grid_at(T);
+  std::uint64_t h = kFnvOffset;
+  std::int64_t i = 0;
+  const auto add = [&](double d) {
+    if (i++ == points / 2) *middle = d;
+    fnv1a_add(h, d);
+  };
+  if constexpr (RowKernel3D<K>) {
+    for (int z = 0; z < k.depth(); ++z)
+      for (int y = 0; y < k.height(); ++y)
+        for (int x = 0; x < k.width(); ++x)
+          add(static_cast<double>(g.at(x, y, z)));
+  } else {
+    for (int y = 0; y < k.height(); ++y)
+      for (int x = 0; x < k.width(); ++x) add(static_cast<double>(g.at(x, y)));
+  }
+  return h;
+}
+
 }  // namespace
 
 RunOptions job_run_options(const JobRequest& rq, const ExecEnv& env) {
@@ -33,7 +71,6 @@ RunOptions job_run_options(const JobRequest& rq, const ExecEnv& env) {
   opt.scheme = rq.scheme;
   opt.nt_stores = rq.nt_stores;
   opt.unroll_t = rq.unroll_t;
-  opt.mwd_group = rq.mwd_group;
   opt.cache_tenants = env.cache_tenants;
   if (env.pin_cpus != nullptr && !env.pin_cpus->empty())
     opt.pin_cpus = env.pin_cpus;
@@ -70,11 +107,8 @@ JobResult run_kernel(K& k, const JobRequest& rq, const RunOptions& opt,
       model_bytes_for(exec, n, wmax, rq.t_steps, opt.threads, opt.nt_stores,
                       kernel_element_bytes(k));
 
-  std::vector<double> grid;
-  k.copy_result_to(grid, rq.t_steps);
-  r.checksum = fnv1a(grid);
-  r.sample = grid[grid.size() / 2];
-  if (out_grid != nullptr) *out_grid = std::move(grid);
+  r.checksum = result_fnv1a(k, rq.t_steps, n, &r.sample);
+  if (out_grid != nullptr) k.copy_result_to(*out_grid, rq.t_steps);
   r.status = JobStatus::Done;
   return r;
 }
@@ -82,15 +116,8 @@ JobResult run_kernel(K& k, const JobRequest& rq, const RunOptions& opt,
 }  // namespace
 
 std::uint64_t fnv1a(const std::vector<double>& v) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const double d : v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &d, sizeof bits);
-    for (int i = 0; i < 8; ++i) {
-      h ^= (bits >> (8 * i)) & 0xFF;
-      h *= 1099511628211ULL;
-    }
-  }
+  std::uint64_t h = kFnvOffset;
+  for (const double d : v) fnv1a_add(h, d);
   return h;
 }
 
@@ -114,7 +141,6 @@ double model_bytes_for(const SchemeChoice& choice, std::int64_t n,
       break;
     case Scheme::Cats2:
     case Scheme::Cats3:
-    case Scheme::Mwd:  // choice.bz is already sized at the pooled budget Z*g
       bytes = cats2_traffic_bytes(in, std::max<std::int64_t>(choice.bz, 2));
       break;
     case Scheme::Naive:

@@ -50,7 +50,6 @@ struct JobRequest {
   std::size_t cache_bytes = 0;  ///< Z override; 0 = detect on the shard
   bool nt_stores = false;
   int unroll_t = 0;
-  int mwd_group = 0;  ///< MWD group width; 0/1 = ungrouped (core/options.hpp)
 
   /// Cross-shard domain decomposition policy.
   enum class Split : std::uint8_t {

@@ -46,7 +46,6 @@ const char* scheme_wire_name(Scheme s) {
     case Scheme::Cats1: return "cats1";
     case Scheme::Cats2: return "cats2";
     case Scheme::Cats3: return "cats3";
-    case Scheme::Mwd: return "mwd";
     case Scheme::PlutoLike: return "pluto";
   }
   return "?";
@@ -58,7 +57,6 @@ bool parse_scheme(const std::string& s, Scheme* out) {
   if (s == "cats1") { *out = Scheme::Cats1; return true; }
   if (s == "cats2") { *out = Scheme::Cats2; return true; }
   if (s == "cats3") { *out = Scheme::Cats3; return true; }
-  if (s == "mwd") { *out = Scheme::Mwd; return true; }
   if (s == "pluto") { *out = Scheme::PlutoLike; return true; }
   return false;
 }
@@ -82,8 +80,6 @@ bool validate_job(const JobRequest& rq, std::string* err) {
   if (rq.threads < 0) return fail("threads must be >= 0");
   if (rq.unroll_t < 0 || rq.unroll_t > 4)
     return fail("unroll_t out of range");
-  if (rq.mwd_group < 0 || rq.mwd_group > 256)
-    return fail("mwd_group out of range");
   return true;
 }
 
@@ -120,7 +116,6 @@ bool parse_request(const std::string& line, Request* out, std::string* err) {
     if (const tune::JsonValue* nt = v.get("nt_stores"))
       j.nt_stores = nt->kind == tune::JsonValue::Kind::Bool && nt->boolean;
     j.unroll_t = static_cast<int>(v.get_int("unroll_t"));
-    j.mwd_group = static_cast<int>(v.get_int("mwd_group"));
     if (!parse_scheme(v.get_string("scheme", "auto"), &j.scheme)) {
       if (err != nullptr) *err = "unknown scheme";
       return false;
@@ -171,7 +166,6 @@ std::string encode_request(const Request& rq) {
     s += std::string(",\"scheme\":") + json_quote(scheme_wire_name(j.scheme));
   if (j.nt_stores) s += ",\"nt_stores\":true";
   if (j.unroll_t != 0) s += ",\"unroll_t\":" + std::to_string(j.unroll_t);
-  if (j.mwd_group != 0) s += ",\"mwd_group\":" + std::to_string(j.mwd_group);
   if (j.split == JobRequest::Split::Never) s += R"(,"split":"never")";
   if (j.split == JobRequest::Split::Force) s += R"(,"split":"force")";
   s += "}";

@@ -79,11 +79,10 @@ bool TuneDb::load(const std::string& path) {
     r.entry.affinity = e.get_string("affinity");  // absent in pre-affinity DBs
     // Wave knobs: absent in pre-wave DBs — the defaults mean "keep the
     // caller's value", so old files stay fully usable. Keys of removed knobs
-    // (team_size) are ignored like any unknown key.
+    // (team_size, the MWD group width) are ignored like any unknown key.
     r.entry.nt_stores = static_cast<int>(e.get_int("nt_stores", -1));
     r.entry.unroll_t = static_cast<int>(e.get_int("unroll_t", -1));
     r.entry.temporal_vec = static_cast<int>(e.get_int("temporal_vec", -1));
-    r.entry.mwd_group = static_cast<int>(e.get_int("mwd_group", 0));
     r.entry.prefetch_dist = static_cast<int>(e.get_int("prefetch_dist", -1));
     r.entry.pilot_seconds = e.get_number("pilot_seconds");
     r.entry.analytic_seconds = e.get_number("analytic_seconds");
@@ -120,7 +119,6 @@ bool TuneDb::save(const std::string& path) const {
        << "\"nt_stores\": " << r.entry.nt_stores << ", "
        << "\"unroll_t\": " << r.entry.unroll_t << ", "
        << "\"temporal_vec\": " << r.entry.temporal_vec << ", "
-       << "\"mwd_group\": " << r.entry.mwd_group << ", "
        << "\"prefetch_dist\": " << r.entry.prefetch_dist << ", "
        << "\"pilot_seconds\": " << json_number(r.entry.pilot_seconds) << ", "
        << "\"analytic_seconds\": " << json_number(r.entry.analytic_seconds) << ", "

@@ -20,9 +20,7 @@
 // soundly: under an attached dependence oracle (note_row would stamp whole
 // rows out of the oracle's expected order), for kernels not opting in
 // (wave/microkernel.hpp), and for the scalar baseline path (measured as
-// plain C on purpose). MWD group members need no exception: they receive
-// *full-width* wavefront slabs (whole chain links, wave/mwd.hpp), so the
-// stagger proof applies unchanged.
+// plain C on purpose).
 //
 // NT stores apply only to *trailing* slabs (Slab::trailing: the tile's top
 // timestep in a wavefront scheme) of NT-eligible plans

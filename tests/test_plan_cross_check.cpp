@@ -77,7 +77,14 @@ struct DepWitness {
 DepWitness map_violation(const cats::check::Violation& v) {
   using cats::check::ViolationKind;
   switch (v.kind) {
-    case ViolationKind::NotAdvanced:      // own history missing at t-1
+    case ViolationKind::NotAdvanced:      // own history not at t-1 / t-2
+      if (v.found_t > v.t) {
+        // A later step of the same point already ran and overwrote the
+        // double-buffer stamp: that step is the consumer that failed to
+        // wait for its own t-1 history.
+        return {v.found_t, v.found_t - 1, v.x, v.y, v.x, v.y, true};
+      }
+      return {v.t, v.t - 1, v.x, v.y, v.nx, v.ny, true};
     case ViolationKind::MissingDep:       // neighbor not yet at t-1
     case ViolationKind::UnorderedRead:    // neighbor at t-1 but no HB edge
       return {v.t, v.t - 1, v.x, v.y, v.nx, v.ny, true};

@@ -40,21 +40,17 @@ struct Counts {
 
 // What executing `p` must report: one tile per tile group (first_in_group);
 // per worker, one crossing per Barrier phase and two per
-// BarrierResetBarrier phase; and for MWD groups every member's window
-// barrier crossings (wave/mwd.hpp: one per wavefront window, one final).
+// BarrierResetBarrier phase.
 Counts implied_counts(const plan_ir::TilePlan& p) {
   Counts c;
-  const std::int64_t m = std::max(1, p.mwd_group);
-  const std::int64_t trav = p.dims == 2 ? p.ny : p.nz;
   for (const plan_ir::Tile& t : p.tiles) {
     if (t.first_in_group) ++c.tiles;
-    if (m > 1) c.barriers += m * (trav + p.slope * (t.t1 - t.t0) + m);
   }
   const int per_phase =
       p.phase_sync == plan_ir::PhaseSync::Barrier               ? 1
       : p.phase_sync == plan_ir::PhaseSync::BarrierResetBarrier ? 2
                                                                 : 0;
-  c.barriers += p.threads * m * per_phase * p.phases;
+  c.barriers = static_cast<std::int64_t>(p.threads) * per_phase * p.phases;
   return c;
 }
 
@@ -214,20 +210,7 @@ void check_run_path(MakeKernel&& make, int T, const RunOptions& run_opt,
   EXPECT_EQ(st.tiles_processed.load(), c.tiles) << label;
   EXPECT_EQ(st.barriers.load(), c.barriers) << label;
 
-  const std::vector<std::int64_t> workers = log.per_worker();
-  const std::vector<std::int64_t> owners = per_owner(p);
-  if (p.mwd_group == 1) {
-    EXPECT_EQ(workers, owners) << label;
-  } else {
-    // MWD members split each owner's tiles by time band: compare the worker
-    // count and the total.
-    const auto m = static_cast<std::size_t>(p.mwd_group);
-    EXPECT_EQ(workers.size(), owners.size() * m) << label;
-    std::int64_t want_total = 0, got_total = 0;
-    for (std::int64_t n : owners) want_total += n;
-    for (std::int64_t n : workers) got_total += n;
-    EXPECT_EQ(got_total, want_total) << label;
-  }
+  EXPECT_EQ(log.per_worker(), per_owner(p)) << label;
 
   std::vector<double> got;
   k.copy_result_to(got, T);
@@ -239,13 +222,11 @@ RunOptions options(Scheme s, std::size_t cache_bytes) {
   opt.scheme = s;
   opt.threads = kThreads;
   opt.cache_bytes = cache_bytes;
-  if (s == Scheme::Mwd) opt.mwd_group = 2;
   return opt;
 }
 
-constexpr Scheme kSchemes[] = {Scheme::Naive, Scheme::Cats1,
-                               Scheme::Cats2, Scheme::Cats3,
-                               Scheme::Mwd,   Scheme::PlutoLike};
+constexpr Scheme kSchemes[] = {Scheme::Naive, Scheme::Cats1, Scheme::Cats2,
+                               Scheme::Cats3, Scheme::PlutoLike};
 
 }  // namespace
 
@@ -307,7 +288,6 @@ TEST(RunPath, GaussSeidelRunsTheSerialCats1Plan) {
     const RunOptions opt = options(s, 16 * 1024);
     RunOptions serial = opt;
     serial.threads = 1;
-    serial.mwd_group = 1;
     if (s != Scheme::Naive) serial.scheme = Scheme::Cats1;
     check_run_path(make, 17, opt, serial,
                    std::string("gauss_seidel2d ") + scheme_name(s));

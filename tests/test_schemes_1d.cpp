@@ -93,14 +93,13 @@ TEST(Schemes1D, Cats2RequestFallsBackToCats1) {
   // as a forced CATS1 would, not at TZ = 1 (no temporal blocking at all).
   ConstStar1D<1> k(4096, weights_1d<1>());
   opt.cache_bytes = 1024;  // Eq. 1: TZ = Zd / CS' = 45, inside (1, T)
-  opt.mwd_group = 2;
   RunOptions cats1 = opt;
   cats1.scheme = Scheme::Cats1;
   const plan_ir::TilePlan want =
       plan_ir::emit_plan(plan_request(k, 100, cats1));
   EXPECT_GT(want.tz, 1);
   EXPECT_LT(want.tz, 100);
-  for (Scheme s : {Scheme::Cats2, Scheme::Cats3, Scheme::Mwd}) {
+  for (Scheme s : {Scheme::Cats2, Scheme::Cats3}) {
     opt.scheme = s;
     const plan_ir::TilePlan got =
         plan_ir::emit_plan(plan_request(k, 100, opt));

@@ -124,6 +124,11 @@ TEST(ServeProtocol, RejectsMalformedAndOversized) {
   EXPECT_FALSE(parse_request(R"({"op":"warp"})", &rq, &err));
   EXPECT_FALSE(parse_request(
       R"({"op":"submit","kernel":"fdtd","nx":8,"ny":8})", &rq, &err));
+  // The retired MWD scheme is no longer a wire name.
+  EXPECT_FALSE(parse_request(
+      R"({"op":"submit","kernel":"const2d","nx":8,"ny":8,"scheme":"mwd"})",
+      &rq, &err));
+  EXPECT_EQ(err, "unknown scheme");
   // Point cap: 2^13 * 2^13 * 2^13 = 2^39 points >> kMaxPoints.
   EXPECT_FALSE(parse_request(
       R"({"op":"submit","kernel":"const3d","nx":8192,"ny":8192,"nz":8192})",
@@ -318,6 +323,18 @@ TEST(ServeHalo, Split2DBitExactAcrossShardCounts) {
   std::vector<double> ref;
   const JobResult direct = execute_job(rq, env, &ref);
   ASSERT_EQ(direct.status, JobStatus::Done) << direct.error;
+  // The checksum and sample are read from the result grid without a copy:
+  // they must equal the hash and middle element of the copied grid, for
+  // both precisions.
+  EXPECT_EQ(direct.checksum, fnv1a(ref));
+  EXPECT_EQ(direct.sample, ref[ref.size() / 2]);
+  JobRequest rq32 = rq;
+  rq32.kernel = "const2d_f32";
+  std::vector<double> ref32;
+  const JobResult direct32 = execute_job(rq32, env, &ref32);
+  ASSERT_EQ(direct32.status, JobStatus::Done) << direct32.error;
+  EXPECT_EQ(direct32.checksum, fnv1a(ref32));
+  EXPECT_EQ(direct32.sample, ref32[ref32.size() / 2]);
 
   for (const int shards : {2, 3}) {
     const ShardSchedule sched =

@@ -226,7 +226,32 @@ TEST(ApplyTuning, HitFromThisMachineAppliesEntry) {
   EXPECT_EQ(old.unroll_t, 2);
   EXPECT_EQ(old.prefetch_dist, 8);
   EXPECT_EQ(old.threads, opt.threads);
-  EXPECT_EQ(old.mwd_group, opt.mwd_group);
+
+  // A file written while the MWD scheme existed names it and carries its
+  // group width: it must load, the retired scheme name leaves the caller's
+  // scheme and tile overrides in place, and the other tuned fields apply.
+  write_file(path,
+             R"({"version": 1, "entries": [{"machine": )" +
+                 json_quote(key.machine) +
+                 R"(, "kernel": "const2d/s1", "scheme_key": "auto",
+      "shape": )" + json_quote(key.shape) +
+                 R"(, "threads": 2, "scheme": "MWD", "tz": 0, "bz": 42,
+      "bx": 0, "run_threads": 0, "affinity": "", "nt_stores": 1,
+      "unroll_t": 2, "temporal_vec": -1, "mwd_group": 2,
+      "prefetch_dist": 8, "pilot_seconds": 0.125, "analytic_seconds": 0.25,
+      "cache_bytes": 1048576, "cs_slack": 1.2}]})");
+  invalidate_cache();
+  TuneDb retired_db;
+  ASSERT_TRUE(retired_db.load(path));
+  ASSERT_NE(retired_db.find(key), nullptr);
+  EXPECT_EQ(retired_db.find(key)->scheme, "MWD");
+  const RunOptions retired = apply_tuning(opt, "const2d/s1", d);
+  EXPECT_EQ(retired.scheme, Scheme::Auto);
+  EXPECT_EQ(retired.bz_override, 0);
+  EXPECT_TRUE(retired.nt_stores);
+  EXPECT_EQ(retired.unroll_t, 2);
+  EXPECT_EQ(retired.prefetch_dist, 8);
+  EXPECT_EQ(retired.threads, opt.threads);
   std::remove(path.c_str());
   invalidate_cache();
 }

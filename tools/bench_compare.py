@@ -15,8 +15,8 @@ row is first normalized by the same report's naive row for that kernel —
 are grouped per precision (the kernel name's `_f32` suffix) AND per thread
 count: every fp32 family carries its own naive/plain anchors, and a
 multi-thread row only ever normalizes against the naive row measured at the
-same thread count (thread scaling is part of what the suite tracks, e.g.
-MWD's shared-diamond groups only exist at THREADS>=2). The cross-precision
+same thread count (thread scaling is part of what the suite tracks). The
+cross-precision
 fp32/fp64 speedup is reported separately per config (informational —
 raw-throughput ratios are noisier than normalized ones, so they do not
 gate). A row regresses when its normalized throughput drops more than

@@ -1,7 +1,7 @@
 // cats_analyze — static concurrency & footprint verifier CLI (DESIGN.md §15).
 //
 // Modes:
-//   --mc           exhaustively model-check the five sync primitives at
+//   --mc           exhaustively model-check the four sync primitives at
 //                  production memory orders (zero missing happens-before
 //                  edges under every interleaving)
 //   --minimality   weaken each annotated order site one step and re-verify;

@@ -16,7 +16,7 @@
 // pairs in ~10 s; the CI sweep's ~1000 small configurations take < 1 s.
 //
 // Options:
-//   --scheme S       auto | naive | cats1 | cats2 | cats3 | mwd | pluto
+//   --scheme S       auto | naive | cats1 | cats2 | cats3 | pluto
 //                    (default auto)
 //   --dims D         1 | 2 | 3 (default 2)
 //   --nx/--ny/--nz   domain extents (defaults 256/256/256 as applicable)
@@ -26,7 +26,6 @@
 //   --cache-bytes Z  per-thread cache budget; 0 = detect (default 32768)
 //   --cs-eff C       effective CS' per point (default 2.8 = 2s + 0.8, s=1)
 //   --tz/--bz/--bx   parameter overrides (disable residency certification)
-//   --mwd-group G    MWD thread-group width (threads/G diamond columns)
 //   --strict         treat warnings as failures
 //   --dump           print every tile and sync edge of the plan
 //   --sweep          verify the built-in configuration grid and exit
@@ -61,7 +60,6 @@ struct Args {
   double cs_eff = 2.8;
   int tz = 0;
   long long bz = 0, bx = 0;
-  int mwd_group = 0;
   bool strict = false;
   bool dump = false;
   bool sweep = false;
@@ -73,7 +71,6 @@ bool parse_scheme(const std::string& s, Scheme& out) {
   else if (s == "cats1") out = Scheme::Cats1;
   else if (s == "cats2") out = Scheme::Cats2;
   else if (s == "cats3") out = Scheme::Cats3;
-  else if (s == "mwd") out = Scheme::Mwd;
   else if (s == "pluto") out = Scheme::PlutoLike;
   else return false;
   return true;
@@ -114,8 +111,6 @@ bool parse_args(int argc, char** argv, Args& a) {
       a.bz = v;
     } else if (arg == "--bx" && next(v)) {
       a.bx = v;
-    } else if (arg == "--mwd-group" && next(v)) {
-      a.mwd_group = static_cast<int>(v);
     } else if (arg == "--strict") {
       a.strict = true;
     } else if (arg == "--dump") {
@@ -145,7 +140,6 @@ PlanRequest make_request(const Args& a) {
   rq.opt.tz_override = a.tz;
   rq.opt.bz_override = static_cast<int>(a.bz);
   rq.opt.bx_override = static_cast<int>(a.bx);
-  rq.opt.mwd_group = a.mwd_group;
   return rq;
 }
 
@@ -213,8 +207,7 @@ int run_sweep(bool strict) {
   const Scheme schemes1[] = {Scheme::Auto, Scheme::Naive, Scheme::Cats1,
                              Scheme::Cats2, Scheme::PlutoLike};
   const Scheme schemes[] = {Scheme::Auto,  Scheme::Naive, Scheme::Cats1,
-                            Scheme::Cats2, Scheme::Cats3, Scheme::Mwd,
-                            Scheme::PlutoLike};
+                            Scheme::Cats2, Scheme::Cats3, Scheme::PlutoLike};
   const int slopes[] = {1, 2};
   const int ts[] = {3, 13};
   // Degenerate 256 B caches drive the selector through its clamp floors;
@@ -262,17 +255,6 @@ int run_sweep(bool strict) {
               rq.opt.threads = th;
               rq.opt.cache_bytes = z;
               grid.push_back(rq);
-              // Grouped MWD variants: the plan shrinks to th/g diamond
-              // columns, the residency certificate moves to the pooled Z*g.
-              if (sc == Scheme::Mwd) {
-                for (const int g : {2, 4}) {
-                  if (g <= th && th % g == 0) {
-                    rq.opt.mwd_group = g;
-                    grid.push_back(rq);
-                  }
-                }
-                rq.opt.mwd_group = 0;
-              }
             }
           }
         }
@@ -296,15 +278,6 @@ int run_sweep(bool strict) {
             rq.opt.threads = th;
             rq.opt.cache_bytes = z;
             grid.push_back(rq);
-            if (sc == Scheme::Mwd) {
-              for (const int g : {2, 4}) {
-                if (g <= th && th % g == 0) {
-                  rq.opt.mwd_group = g;
-                  grid.push_back(rq);
-                }
-              }
-              rq.opt.mwd_group = 0;
-            }
           }
         }
       }
