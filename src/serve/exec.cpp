@@ -34,30 +34,31 @@ void fnv1a_add(std::uint64_t& h, double d) {
   }
 }
 
-/// fnv1a() of the vector k.copy_result_to(v, T) fills, and that vector's
-/// middle element, read straight from the result grid in the same order. A
+/// grid_checksum() of the vector k.copy_result_to(v, T) fills, and that
+/// vector's middle element, read straight from the result grid rows. A
 /// served job needs only these two, and the full-size copy would be a third
 /// grid-sized allocation per job.
 template <class K>
-std::uint64_t result_fnv1a(const K& k, int T, std::int64_t points,
-                           double* middle) {
+std::uint64_t result_checksum(const K& k, int T, std::int64_t points,
+                              double* middle) {
   const auto& g = k.grid_at(T);
-  std::uint64_t h = kFnvOffset;
-  std::int64_t i = 0;
-  const auto add = [&](double d) {
-    if (i++ == points / 2) *middle = d;
-    fnv1a_add(h, d);
+  const auto w = static_cast<std::uint64_t>(k.width());
+  const auto mid = static_cast<std::uint64_t>(points / 2);
+  std::uint64_t sum = 0;
+  std::uint64_t i = 0;  // index of the row's first element
+  const auto add_row = [&](const auto* row) {
+    if (mid >= i && mid < i + w) *middle = static_cast<double>(row[mid - i]);
+    for (std::uint64_t x = 0; x < w; ++x)
+      sum += checksum_step(i + x, static_cast<double>(row[x]));
+    i += w;
   };
   if constexpr (RowKernel3D<K>) {
     for (int z = 0; z < k.depth(); ++z)
-      for (int y = 0; y < k.height(); ++y)
-        for (int x = 0; x < k.width(); ++x)
-          add(static_cast<double>(g.at(x, y, z)));
+      for (int y = 0; y < k.height(); ++y) add_row(g.row(y, z));
   } else {
-    for (int y = 0; y < k.height(); ++y)
-      for (int x = 0; x < k.width(); ++x) add(static_cast<double>(g.at(x, y)));
+    for (int y = 0; y < k.height(); ++y) add_row(g.row(y));
   }
-  return h;
+  return sum;
 }
 
 }  // namespace
@@ -107,13 +108,19 @@ JobResult run_kernel(K& k, const JobRequest& rq, const RunOptions& opt,
       model_bytes_for(exec, n, wmax, rq.t_steps, opt.threads, opt.nt_stores,
                       kernel_element_bytes(k));
 
-  r.checksum = result_fnv1a(k, rq.t_steps, n, &r.sample);
+  r.checksum = result_checksum(k, rq.t_steps, n, &r.sample);
   if (out_grid != nullptr) k.copy_result_to(*out_grid, rq.t_steps);
   r.status = JobStatus::Done;
   return r;
 }
 
 }  // namespace
+
+std::uint64_t grid_checksum(const std::vector<double>& v) {
+  std::uint64_t sum = 0;
+  for (std::size_t i = 0; i < v.size(); ++i) sum += checksum_step(i, v[i]);
+  return sum;
+}
 
 std::uint64_t fnv1a(const std::vector<double>& v) {
   std::uint64_t h = kFnvOffset;

@@ -287,7 +287,7 @@ JobResult run_split_impl(const JobRequest& rq, const ShardSchedule& sched,
                 ? static_cast<double>(n) * rq.t_steps / r.seconds / 1e6
                 : 0.0;
   for (const ShardOutcome& oc : outcomes) r.model_dram_bytes += oc.model_bytes;
-  r.checksum = fnv1a(grid);
+  r.checksum = grid_checksum(grid);
   r.sample = grid[grid.size() / 2];
   if (out_grid != nullptr) *out_grid = std::move(grid);
   r.status = JobStatus::Done;

@@ -17,7 +17,10 @@
 // initial condition is a function of global coordinates, and blocks are even
 // so every exchange happens at buffer parity 0; the owned rows therefore
 // match an unsharded run bit for bit, and the assembled grid's checksum
-// equals the single-shard one.
+// equals the single-shard one. The checksum (grid_checksum, serve/exec.hpp)
+// is a position-keyed sum — bijective per index, keyed by global position,
+// independent of how the grid is partitioned — so the gathered grid and the
+// unsharded job's in-place rows hash to the same value.
 
 #include <vector>
 

@@ -74,7 +74,12 @@ struct JobResult {
   double seconds = 0.0;
   double mlups = 0.0;             ///< nx*ny*nz*T / seconds / 1e6
   double model_dram_bytes = 0.0;  ///< cachesim/traffic_model.hpp estimate
-  std::uint64_t checksum = 0;     ///< FNV-1a over the final grid's doubles
+  /// Position-keyed sum over the final grid in copy_result_to order:
+  /// Σ_i checksum_step(i, v_i) mod 2^64 (serve/exec.hpp). Bijective per
+  /// index (any changed element changes it, even 0.0 to -0.0),
+  /// position-keyed (a moved value changes it) and partition-independent
+  /// (every thread count and shard split gives the same value).
+  std::uint64_t checksum = 0;
   double sample = 0.0;            ///< center-point value (human sanity check)
 };
 

@@ -13,9 +13,12 @@
 // Responses always carry "ok" plus, for submits, the JobResult fields
 // ("status" is "done"/"rejected"/"cancelled"/"failed"). The grid checksum
 // travels as a 16-digit hex *string* — JSON numbers are doubles and cannot
-// round-trip 64 bits. Parsing reuses the dependency-free tune JSON reader;
-// a malformed line yields a typed error response, never a dropped
-// connection.
+// round-trip 64 bits. It is the position-keyed sum Σ_i checksum_step(i, v_i)
+// mod 2^64 over the final grid (serve/exec.hpp; it replaced FNV-1a under
+// the same field name): bijective per index, position-keyed, and the same
+// at every thread count and shard split. Parsing reuses the dependency-free
+// tune JSON reader; a malformed line yields a typed error response, never a
+// dropped connection.
 
 #include <string>
 

@@ -84,7 +84,9 @@ DepWitness map_violation(const cats::check::Violation& v) {
         // wait for its own t-1 history.
         return {v.found_t, v.found_t - 1, v.x, v.y, v.x, v.y, true};
       }
-      return {v.t, v.t - 1, v.x, v.y, v.nx, v.ny, true};
+      // The stamp the check required names the producer step: t-1 for the
+      // opposite-parity slot, t-2 for the same-parity one.
+      return {v.t, v.expected_t, v.x, v.y, v.nx, v.ny, true};
     case ViolationKind::MissingDep:       // neighbor not yet at t-1
     case ViolationKind::UnorderedRead:    // neighbor at t-1 but no HB edge
       return {v.t, v.t - 1, v.x, v.y, v.nx, v.ny, true};

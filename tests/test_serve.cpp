@@ -1,13 +1,15 @@
 // Stencil-service tests: wire protocol round-trip, fair-share queue
 // semantics, NUMA shard derivation, the cross-shard halo schedule
-// (emit + verify + bit-exact execution against an unsharded run), the
-// multi-tenant reduced-Z residency certificate, and the full UDS server
-// lifecycle including drain-under-load.
+// (emit + verify + bit-exact execution against an unsharded run), the grid
+// checksum contract (in place = copied, thread-count independence, single-
+// element and position sensitivity), the multi-tenant reduced-Z residency
+// certificate, and the full UDS server lifecycle including drain-under-load.
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <bit>
 #include <future>
 #include <memory>
 #include <string>
@@ -314,6 +316,45 @@ TEST(ShardSchedule, VerifierCatchesTampering) {
   }
 }
 
+// --- Grid checksum: position-keyed sum --------------------------------------
+
+TEST(ServeChecksum, SameAtEveryThreadCount) {
+  for (const JobRequest& rq : {job2d(150, 120, 9), job3d(24, 20, 28, 6)}) {
+    ExecEnv env;
+    env.threads = 1;
+    const JobResult one = execute_job(rq, env);
+    ASSERT_EQ(one.status, JobStatus::Done) << one.error;
+    for (const int threads : {2, 3, 4}) {
+      env.threads = threads;
+      const JobResult r = execute_job(rq, env);
+      ASSERT_EQ(r.status, JobStatus::Done) << r.error;
+      EXPECT_EQ(r.threads, threads);
+      EXPECT_EQ(r.checksum, one.checksum)
+          << rq.kernel << " at " << threads << " threads";
+    }
+  }
+}
+
+TEST(ServeChecksum, DetectsBitFlipsSignedZeroAndSwaps) {
+  const std::vector<double> v = {0.25, 1.0, -3.5, 0.0, 7.0e-300, 42.0};
+  const std::uint64_t base = grid_checksum(v);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    std::vector<double> w = v;
+    w[i] = std::bit_cast<double>(std::bit_cast<std::uint64_t>(w[i]) ^ 1u);
+    EXPECT_NE(grid_checksum(w), base) << "low mantissa bit of element " << i;
+  }
+  std::vector<double> neg = v;
+  neg[3] = -0.0;
+  EXPECT_NE(grid_checksum(neg), base) << "0.0 -> -0.0";
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    for (std::size_t j = i + 1; j < v.size(); ++j) {
+      std::vector<double> w = v;
+      std::swap(w[i], w[j]);
+      EXPECT_NE(grid_checksum(w), base) << "swap " << i << " <-> " << j;
+    }
+  }
+}
+
 // --- Halo-split execution: bit-exact vs unsharded ---------------------------
 
 TEST(ServeHalo, Split2DBitExactAcrossShardCounts) {
@@ -326,14 +367,14 @@ TEST(ServeHalo, Split2DBitExactAcrossShardCounts) {
   // The checksum and sample are read from the result grid without a copy:
   // they must equal the hash and middle element of the copied grid, for
   // both precisions.
-  EXPECT_EQ(direct.checksum, fnv1a(ref));
+  EXPECT_EQ(direct.checksum, grid_checksum(ref));
   EXPECT_EQ(direct.sample, ref[ref.size() / 2]);
   JobRequest rq32 = rq;
   rq32.kernel = "const2d_f32";
   std::vector<double> ref32;
   const JobResult direct32 = execute_job(rq32, env, &ref32);
   ASSERT_EQ(direct32.status, JobStatus::Done) << direct32.error;
-  EXPECT_EQ(direct32.checksum, fnv1a(ref32));
+  EXPECT_EQ(direct32.checksum, grid_checksum(ref32));
   EXPECT_EQ(direct32.sample, ref32[ref32.size() / 2]);
 
   for (const int shards : {2, 3}) {
@@ -360,6 +401,9 @@ TEST(ServeHalo, Split3DBitExactWithOddFinalBlock) {
   std::vector<double> ref;
   const JobResult direct = execute_job(rq, env, &ref);
   ASSERT_EQ(direct.status, JobStatus::Done) << direct.error;
+  // The in-place 3D checksum and sample match the copied grid too.
+  EXPECT_EQ(direct.checksum, grid_checksum(ref));
+  EXPECT_EQ(direct.sample, ref[ref.size() / 2]);
 
   const ShardSchedule sched =
       plan_ir::emit_shard_schedule(rq.nz, 2, rq.t_steps, 1, 4);

@@ -22,9 +22,10 @@ namespace {
 const char* kUsage =
     "usage: cats_submit [--socket PATH] <command> [options]\n"
     "commands:\n"
-    "  submit   --kernel const2d|const3d --nx N --ny N [--nz N] -T N\n"
-    "           [--tenant NAME] [--seed N] [--threads N] [--scheme S]\n"
-    "           [--split auto|never|force] [--nt-stores] [--selftest]\n"
+    "  submit   --kernel const2d|const2d_f32|const3d --nx N --ny N\n"
+    "           [--nz N] -T N [--tenant NAME] [--seed N] [--threads N]\n"
+    "           [--scheme S] [--split auto|never|force] [--nt-stores]\n"
+    "           [--selftest]\n"
     "  stats    print the server's scheduler statistics (JSON)\n"
     "  ping     check liveness\n"
     "  shutdown [--cancel]  drain (or cancel+drain) the server\n";
