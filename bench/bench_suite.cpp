@@ -8,13 +8,12 @@
 // naive/plain anchors).
 //
 // Each CATS2 family is measured three ways: "cats2_plain" disables the wave
-// engine (unroll_t=1, no NT stores, no software prefetch), "cats2_wave"
-// enables it (temporal fusion, NT trailing stores, prefetch), and "cats2_tv"
-// additionally runs the fused chain through the temporally-vectorized
-// micro-kernel (RunOptions::temporal_vec, wave/temporal_vec.hpp). The
-// wave/plain ratio is the wave engine's speedup, the tv/wave ratio the
-// register-window gain, and const2d_f32 vs const2d at equal config the fp32
-// precision gain.
+// engine (unroll_t=1, no software prefetch), "cats2_wave" enables it
+// (temporal fusion and prefetch), and "cats2_tv" additionally runs the
+// fused chain through the temporally-vectorized micro-kernel
+// (RunOptions::temporal_vec, wave/temporal_vec.hpp). The wave/plain ratio
+// is the wave engine's speedup, the tv/wave ratio the register-window gain,
+// and const2d_f32 vs const2d at equal config the fp32 precision gain.
 
 #include "common.hpp"
 #include "kernels/banded2d.hpp"
@@ -32,25 +31,23 @@ struct SchemeConfig {
   const char* name;
   Scheme scheme;
   int unroll_t;       // RunOptions::unroll_t (0 = auto-fuse)
-  bool nt_stores;
   int prefetch_dist;
   bool temporal_vec;  // RunOptions::temporal_vec (register-window chains)
 };
 
 constexpr SchemeConfig kConfigs[] = {
-    {"naive", Scheme::Naive, 1, false, 0, false},
-    {"pluto", Scheme::PlutoLike, 1, false, 0, false},
-    {"cats1", Scheme::Cats1, 0, false, 4, false},
-    {"cats2_plain", Scheme::Cats2, 1, false, 0, false},
-    {"cats2_wave", Scheme::Cats2, 0, true, 4, false},
-    {"cats2_tv", Scheme::Cats2, 0, true, 4, true},
+    {"naive", Scheme::Naive, 1, 0, false},
+    {"pluto", Scheme::PlutoLike, 1, 0, false},
+    {"cats1", Scheme::Cats1, 0, 4, false},
+    {"cats2_plain", Scheme::Cats2, 1, 0, false},
+    {"cats2_wave", Scheme::Cats2, 0, 4, false},
+    {"cats2_tv", Scheme::Cats2, 0, 4, true},
 };
 
 RunOptions suite_options(const BenchConfig& cfg, const SchemeConfig& sc) {
   RunOptions opt = options_for(cfg, sc.scheme);
   opt.tuning = Tuning::Off;  // pinned configs; tuning would blur the diff
   opt.unroll_t = sc.unroll_t;
-  opt.nt_stores = sc.nt_stores;
   opt.prefetch_dist = sc.prefetch_dist;
   opt.temporal_vec = sc.temporal_vec;
   return opt;

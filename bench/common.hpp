@@ -118,12 +118,9 @@ void ensure_tuned(MakeKernel&& make_kernel, int T, RunOptions& opt) {
   opt.tuning = Tuning::UseDb;
 }
 
-/// Analytic DRAM bytes for one timed configuration, RFO-corrected unless NT
-/// stores apply (cachesim/traffic_model.hpp). NT is credited whenever the
-/// option is on and a CATS scheme ran — the model's write pass is exactly
-/// the trailing-wavefront traffic the wave engine streams; plans that fail
-/// nt_store_eligible() at execution keep their RFOs, so this scalar is the
-/// *model's* figure, not a measurement.
+/// Analytic DRAM bytes for one timed configuration, RFO-corrected
+/// (cachesim/traffic_model.hpp). This scalar is the *model's* figure, not a
+/// measurement.
 template <class K>
 double model_dram_bytes(const K& k, int T, const RunOptions& opt,
                         const SchemeChoice& c) {
@@ -138,7 +135,6 @@ double model_dram_bytes(const K& k, int T, const RunOptions& opt,
   in.tiles = opt.threads;
   in.elem_bytes = kernel_element_bytes(k);
   double bytes = 0.0;
-  bool cats = true;
   switch (c.scheme) {
     case Scheme::Cats1:
       bytes = cats1_traffic_bytes(in, std::max(1, c.tz));
@@ -150,11 +146,9 @@ double model_dram_bytes(const K& k, int T, const RunOptions& opt,
       break;
     default:
       bytes = naive_traffic_bytes(in);
-      cats = false;
       break;
   }
-  if (!(opt.nt_stores && cats)) bytes = with_rfo_bytes(in, bytes);
-  return bytes;
+  return with_rfo_bytes(in, bytes);
 }
 
 /// Median wall seconds of `reps` runs; make_kernel() -> fresh initialized

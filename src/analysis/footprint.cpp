@@ -4,8 +4,8 @@
 // element type, emits the production plan for a small domain, and drives
 // the production wave walker over it. The checker certifies every recorded
 // address; on top, each run asserts it *exercised* what it claims to cover
-// (stream stores observed when NT is armed, TV groups formed when enabled)
-// — a vacuous certification is reported as a failure, not a pass.
+// (fused and TV groups formed when enabled) — a vacuous certification is
+// reported as a failure, not a pass.
 
 #include "analysis/footprint.hpp"
 
@@ -30,28 +30,24 @@ namespace {
 
 struct Cfg {
   int u;
-  bool nt;
   bool tv;
 };
 
-/// Full option cross for the CATS schemes. Naive plans neither chain nor
-/// arm NT (nt_store_eligible excludes them), so they get two configs: the
-/// plain baseline and an everything-on run that must degrade to the plain
-/// paths (asserted via the nt_stores == 0 exercise check).
+/// Full option cross for the CATS schemes. Naive plans never chain, so they
+/// get two configs: the plain baseline and an everything-on run that must
+/// degrade to the plain paths.
 std::vector<Cfg> cats_cfgs() {
   std::vector<Cfg> v;
   for (int u = 0; u <= 4; ++u)
-    for (int nt = 0; nt < 2; ++nt)
-      for (int tv = 0; tv < 2; ++tv) v.push_back({u, nt != 0, tv != 0});
+    for (int tv = 0; tv < 2; ++tv) v.push_back({u, tv != 0});
   return v;
 }
-std::vector<Cfg> naive_cfgs() { return {{0, false, false}, {4, true, true}}; }
+std::vector<Cfg> naive_cfgs() { return {{0, false}, {4, true}}; }
 
 RunOptions make_opt(const plan_ir::TilePlan& p, const Cfg& c) {
   RunOptions o;
   o.threads = p.threads;
   o.unroll_t = c.u;
-  o.nt_stores = c.nt;
   o.temporal_vec = c.tv;
   o.prefetch_dist = 0;
   return o;
@@ -77,49 +73,24 @@ plan_ir::TilePlan forced_plan(int dims, int nx, int ny, int nz, int T, int S,
   return plan_ir::emit_plan(rq);
 }
 
-/// The sweep's toy domains sit far below any real cache bound; force the
-/// residency certificate so nt_store_eligible arms and the NT paths are
-/// exercised and checked. Whether the certificate itself is ever granted
-/// wrongly is cats_plan_check's theorem, not this analyzer's.
-void arm_nt(plan_ir::TilePlan& p) {
-  p.certify_residency = true;
-  p.clamped = false;
-}
-
 std::string cfg_label(const char* family, const char* prec, const char* sch,
                       const Cfg& c) {
   char buf[128];
-  std::snprintf(buf, sizeof buf, "%s %s %s u=%d nt=%d tv=%d", family, prec,
-                sch, c.u, c.nt ? 1 : 0, c.tv ? 1 : 0);
+  std::snprintf(buf, sizeof buf, "%s %s %s u=%d tv=%d", family, prec, sch,
+                c.u, c.tv ? 1 : 0);
   return buf;
 }
 
 struct SchemeCase {
   const char* name;
   plan_ir::TilePlan plan;
-  bool cats;  ///< NT-eligible wavefront scheme (chains, trailing slabs)
+  bool cats;  ///< wavefront scheme (its slabs chain)
 };
 
 void finish(FpReport& rep, const FootprintChecker& chk) {
   for (const auto& d : chk.diags()) rep.diags.push_back(d);
   rep.loads = chk.loads();
   rep.stores = chk.stores();
-  rep.nt_stores = chk.nt_stores();
-  rep.nt_fallback = chk.nt_fallback();
-}
-
-void exercise_nt(FpReport& rep, const FootprintChecker& chk,
-                 const SchemeCase& sc, const Cfg& c) {
-  if (sc.cats && c.nt && chk.nt_stores() + chk.nt_fallback() == 0) {
-    rep.diags.push_back(
-        {"exercise: NT armed on an eligible plan but no stream store was "
-         "recorded (vacuous certification)"});
-  }
-  if (!sc.cats && chk.nt_stores() + chk.nt_fallback() != 0) {
-    rep.diags.push_back(
-        {"exercise: stream store recorded under a non-eligible (naive) "
-         "plan"});
-  }
 }
 
 // ---- 2D families -----------------------------------------------------------
@@ -137,12 +108,11 @@ void sweep_const2d(const char* prec, std::vector<FpReport>& out) {
                                Scheme::Cats1, /*tz=*/3),
                    true});
   // bz must exceed the widest vector (16 fp32 lanes on AVX-512) or diamond
-  // slabs stay scalar-only and the NT/TV exercise checks turn vacuous.
+  // slabs stay scalar-only and the TV exercise checks turn vacuous.
   cases.push_back({"cats2",
                    forced_plan(2, nx, ny, 1, nt_steps, S, threads,
                                Scheme::Cats2, 0, /*bz=*/24),
                    true});
-  for (auto& sc : cases) arm_nt(sc.plan);
   for (const auto& sc : cases) {
     for (const Cfg& c : sc.cats ? cats_cfgs() : naive_cfgs()) {
       ConstStar2D<S, T> k(nx, ny, default_star2d_weights<S, T>());
@@ -154,7 +124,6 @@ void sweep_const2d(const char* prec, std::vector<FpReport>& out) {
       FpReport rep;
       rep.config = cfg_label("const2d/s2", prec, sc.name, c);
       finish(rep, chk);
-      exercise_nt(rep, chk, sc, c);
       // CATS1 columns produce single-row chain links; with fusion enabled
       // the TV (or plain fused) body must actually run.
       if (std::strcmp(sc.name, "cats1") == 0 && c.u != 1) {
@@ -188,7 +157,6 @@ void sweep_banded2d(std::vector<FpReport>& out) {
                    forced_plan(2, nx, ny, 1, nt_steps, S, threads,
                                Scheme::Cats2, 0, /*bz=*/24),
                    true});
-  for (auto& sc : cases) arm_nt(sc.plan);
   for (const auto& sc : cases) {
     for (const Cfg& c : sc.cats ? cats_cfgs() : naive_cfgs()) {
       K k(nx, ny);
@@ -203,7 +171,6 @@ void sweep_banded2d(std::vector<FpReport>& out) {
       FpReport rep;
       rep.config = cfg_label("banded2d/s1", "fp64", sc.name, c);
       finish(rep, chk);
-      exercise_nt(rep, chk, sc, c);
       if (std::strcmp(sc.name, "cats1") == 0 && c.u != 1 && c.tv &&
           wrap.tv_calls == 0) {
         rep.diags.push_back(
@@ -235,7 +202,6 @@ std::vector<SchemeCase> cases_3d(int nx, int ny, int nz, int nt_steps, int S,
                    forced_plan(3, nx, ny, nz, nt_steps, S, threads,
                                Scheme::Cats3, 0, /*bz=*/4, /*bx=*/8),
                    true});
-  for (auto& sc : cases) arm_nt(sc.plan);
   return cases;
 }
 
@@ -245,7 +211,6 @@ void drive_3d_case(K& k, const SchemeCase& sc, const Cfg& c,
   RecWrap3D<K> wrap(k, chk);
   drive_plan_3d(wrap, sc.plan, make_opt(sc.plan, c), chk);
   finish(rep, chk);
-  exercise_nt(rep, chk, sc, c);
   // CATS1 3D tiles chain single-z slabs; with fusion + TV on, the TV row
   // body must actually run.
   if (std::strcmp(sc.name, "cats1") == 0 && c.u != 1 && c.tv &&

@@ -1,6 +1,6 @@
 #pragma once
 // Symbolic footprint analyzer (DESIGN.md §15): drive the *real* wave engine
-// (wave/engine.hpp walkers, the production chain/NT/TV dispatch) over the
+// (wave/engine.hpp walkers, the production chain/TV dispatch) over the
 // *real* emitted TilePlans with kernels instantiated on recording element
 // types (analysis/record.hpp), and check every recorded load/store address
 // online against what the plan says the kernel may touch:
@@ -10,13 +10,8 @@
 //    slope-S star reach of some active stage (center row [x0-S, x1-1+S],
 //    off-axis rows/planes [x0, x1), coefficient bands same-row) and inside
 //    the grid's legal ghost range;
-//  * alignment — every load_aligned / store_aligned / stream store is
-//    naturally vector-aligned (RecNtVec mirrors the production runtime
-//    fallback, so only *required* alignment is a hard failure);
-//  * NT-store eligibility — stream stores occur only in trailing-wavefront
-//    stages, and no line streamed within a tile is reloaded before the
-//    tile ends (streaming a line the tile still needs would be a
-//    certification bug);
+//  * alignment — every load_aligned / store_aligned is naturally
+//    vector-aligned;
 //  * write versioning — each element carries the timestep of its last
 //    write; a load of timestep-t data must observe version t-1 (catches
 //    both stale reads and WAR violations of the fused-chain stagger,
@@ -37,7 +32,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "analysis/record.hpp"
@@ -60,8 +54,6 @@ struct FpReport {
   std::vector<FpDiag> diags;
   long long loads = 0;
   long long stores = 0;
-  long long nt_stores = 0;
-  long long nt_fallback = 0;
   bool ok() const { return diags.empty(); }
 };
 
@@ -90,7 +82,6 @@ struct FpStage {
   int y = 0;
   int z = 0;
   int x0 = 0, x1 = 0;
-  bool nt = false;
 };
 
 class FootprintChecker {
@@ -195,28 +186,19 @@ class FootprintChecker {
   void begin_call(const FpStage* st, int n) { stages_.assign(st, st + n); }
   void end_call() { stages_.clear(); }
 
-  void begin_tile() { streamed_lines_.clear(); }
-  void end_tile() { streamed_lines_.clear(); }
-
   const std::vector<FpDiag>& diags() const { return diags_; }
   long long loads() const { return loads_; }
   long long stores() const { return stores_; }
-  long long nt_stores() const { return nt_stores_; }
-  long long nt_fallback() const { return nt_fallback_; }
 
   void add_diag(std::string msg) {
     if (diags_.size() < kMaxDiags) diags_.push_back({std::move(msg)});
   }
 
   void on_access(const void* p, int bytes, AccessKind k) {
-    const bool is_store = k == AccessKind::Store ||
-                          k == AccessKind::StoreAligned ||
-                          k == AccessKind::StoreNt ||
-                          k == AccessKind::StoreNtFallback;
+    const bool is_store =
+        k == AccessKind::Store || k == AccessKind::StoreAligned;
     if (is_store) {
       ++stores_;
-      if (k == AccessKind::StoreNt) ++nt_stores_;
-      if (k == AccessKind::StoreNtFallback) ++nt_fallback_;
     } else {
       ++loads_;
     }
@@ -234,13 +216,12 @@ class FootprintChecker {
     to_coords(*gv, off, &x, &y, &z);
 
     // Required-alignment kinds must be naturally aligned to the full span.
-    if ((k == AccessKind::LoadAligned || k == AccessKind::StoreAligned ||
-         k == AccessKind::StoreNt) &&
+    if ((k == AccessKind::LoadAligned || k == AccessKind::StoreAligned) &&
         elems > 1 &&
         (reinterpret_cast<std::uintptr_t>(p) &
          (static_cast<std::uintptr_t>(bytes) - 1)) != 0) {
       add_diag(fmt("misaligned %s at %p (grid %s, x=%d y=%d z=%d, span %d "
-                   "bytes): stream/aligned access requires natural alignment%s",
+                   "bytes): aligned access requires natural alignment%s",
                    kind_name(k), p, gv->name.c_str(), x, y, z, bytes,
                    stage_ctx().c_str()));
       return;
@@ -277,8 +258,6 @@ class FootprintChecker {
       case AccessKind::LoadAligned: return "aligned load";
       case AccessKind::Store: return "store";
       case AccessKind::StoreAligned: return "aligned store";
-      case AccessKind::StoreNt: return "stream store";
-      case AccessKind::StoreNtFallback: return "stream-fallback store";
     }
     return "?";
   }
@@ -297,8 +276,8 @@ class FootprintChecker {
     std::string s = "; active stages:";
     if (stages_.empty()) return s + " (none)";
     for (const FpStage& st : stages_) {
-      s += fmt(" {t=%d y=%d z=%d x=[%d,%d)%s}", st.t, st.y, st.z, st.x0,
-               st.x1, st.nt ? " nt" : "");
+      s += fmt(" {t=%d y=%d z=%d x=[%d,%d)}", st.t, st.y, st.z, st.x0,
+               st.x1);
     }
     return s;
   }
@@ -352,13 +331,11 @@ class FootprintChecker {
       return;
     }
     const FpStage* match = nullptr;
-    bool nt_ok = false;
     for (const FpStage& st : stages_) {
       if (g.parity != (st.t & 1)) continue;
       if (y != st.y || z != st.z) continue;
       if (x < st.x0 || x + elems > st.x1) continue;
       match = &st;
-      nt_ok = nt_ok || st.nt;
     }
     if (match == nullptr) {
       add_diag(fmt("%s outside any stage's output segment: grid %s "
@@ -366,21 +343,6 @@ class FootprintChecker {
                    kind_name(k), g.name.c_str(), g.parity, x, x + elems, y, z,
                    stage_ctx().c_str()));
       return;
-    }
-    if (k == AccessKind::StoreNt && !nt_ok) {
-      add_diag(fmt("stream store in a non-trailing stage: grid %s x=[%d,%d) "
-                   "y=%d z=%d%s",
-                   g.name.c_str(), x, x + elems, y, z, stage_ctx().c_str()));
-      return;
-    }
-    if (k == AccessKind::StoreNt) {
-      const auto a = reinterpret_cast<std::uintptr_t>(g.base) +
-                     off * static_cast<std::uintptr_t>(g.elem_bytes);
-      const std::uintptr_t last =
-          a + static_cast<std::uintptr_t>(elems * g.elem_bytes) - 1;
-      for (std::uintptr_t line = a >> 6; line <= (last >> 6); ++line) {
-        streamed_lines_.insert(line);
-      }
     }
     // Version update: the destination held the t-2 parity value (0 = the
     // initial condition), or t itself (the TV ragged-edge rewrite of an
@@ -404,24 +366,6 @@ class FootprintChecker {
 
   void check_load(const GridView& g, std::size_t off, int x, int y, int z,
                   int elems, AccessKind k) {
-    // A line streamed past the cache earlier in this tile must not be
-    // reloaded before the tile ends — that would defeat (and falsify) the
-    // NT residency certification.
-    if (!streamed_lines_.empty()) {
-      const auto a = reinterpret_cast<std::uintptr_t>(g.base) +
-                     off * static_cast<std::uintptr_t>(g.elem_bytes);
-      const std::uintptr_t last =
-          a + static_cast<std::uintptr_t>(elems * g.elem_bytes) - 1;
-      for (std::uintptr_t line = a >> 6; line <= (last >> 6); ++line) {
-        if (streamed_lines_.count(line) != 0) {
-          add_diag(fmt("reload of a line streamed within this tile: grid %s "
-                       "x=[%d,%d) y=%d z=%d%s",
-                       g.name.c_str(), x, x + elems, y, z,
-                       stage_ctx().c_str()));
-          return;
-        }
-      }
-    }
     const int S = slope_;
     const FpStage* matches[8];
     int nm = 0;
@@ -484,12 +428,9 @@ class FootprintChecker {
   std::vector<std::vector<std::int32_t>> version_;
   std::size_t grid_idx_ = 0;  ///< set by resolve(), indexes version_
   std::vector<FpStage> stages_;
-  std::unordered_set<std::uintptr_t> streamed_lines_;
   std::vector<FpDiag> diags_;
   long long loads_ = 0;
   long long stores_ = 0;
-  long long nt_stores_ = 0;
-  long long nt_fallback_ = 0;
 };
 
 /// RAII stage context for one kernel call.
@@ -509,7 +450,7 @@ class FpCallScope {
 /// Transparent 2D kernel wrapper: forwards every engine-facing entry point
 /// to the recording-instantiated kernel, bracketing each call with its
 /// stage context so the checker can attribute every address. Requires the
-/// full-featured kernel interface (process_row/_nt/process_stages/_tv) —
+/// full-featured kernel interface (process_row/process_stages/_tv) —
 /// which all analyzed families provide.
 template <class K>
 class RecWrap2D {
@@ -517,24 +458,19 @@ class RecWrap2D {
   RecWrap2D(K& k, FootprintChecker& c) : k_(&k), c_(&c) {}
 
   void process_row(int t, int y, int x0, int x1) {
-    const FpStage s{t, y, 0, x0, x1, false};
+    const FpStage s{t, y, 0, x0, x1};
     FpCallScope scope(*c_, &s, 1);
     k_->process_row(t, y, x0, x1);
   }
   void process_row_scalar(int t, int y, int x0, int x1) {
-    const FpStage s{t, y, 0, x0, x1, false};
+    const FpStage s{t, y, 0, x0, x1};
     FpCallScope scope(*c_, &s, 1);
     k_->process_row_scalar(t, y, x0, x1);
-  }
-  void process_row_nt(int t, int y, int x0, int x1) {
-    const FpStage s{t, y, 0, x0, x1, true};
-    FpCallScope scope(*c_, &s, 1);
-    k_->process_row_nt(t, y, x0, x1);
   }
   void process_stages(const WaveStage* st, int n) {
     FpStage s[4];
     for (int i = 0; i < n; ++i) {
-      s[i] = FpStage{st[i].t, st[i].y, 0, st[i].x0, st[i].x1, st[i].nt};
+      s[i] = FpStage{st[i].t, st[i].y, 0, st[i].x0, st[i].x1};
     }
     FpCallScope scope(*c_, s, n);
     ++stages_calls;
@@ -543,7 +479,7 @@ class RecWrap2D {
   void process_stages_tv(const WaveStage* st, int n) {
     FpStage s[4];
     for (int i = 0; i < n; ++i) {
-      s[i] = FpStage{st[i].t, st[i].y, 0, st[i].x0, st[i].x1, st[i].nt};
+      s[i] = FpStage{st[i].t, st[i].y, 0, st[i].x0, st[i].x1};
     }
     FpCallScope scope(*c_, s, n);
     ++tv_calls;
@@ -567,25 +503,20 @@ class RecWrap3D {
   RecWrap3D(K& k, FootprintChecker& c) : k_(&k), c_(&c) {}
 
   void process_row(int t, int y, int z, int x0, int x1) {
-    const FpStage s{t, y, z, x0, x1, false};
+    const FpStage s{t, y, z, x0, x1};
     FpCallScope scope(*c_, &s, 1);
     k_->process_row(t, y, z, x0, x1);
   }
   void process_row_scalar(int t, int y, int z, int x0, int x1) {
-    const FpStage s{t, y, z, x0, x1, false};
+    const FpStage s{t, y, z, x0, x1};
     FpCallScope scope(*c_, &s, 1);
     k_->process_row_scalar(t, y, z, x0, x1);
   }
-  void process_row_nt(int t, int y, int z, int x0, int x1) {
-    const FpStage s{t, y, z, x0, x1, true};
-    FpCallScope scope(*c_, &s, 1);
-    k_->process_row_nt(t, y, z, x0, x1);
-  }
-  void process_row_tv(int t, int y, int z, int x0, int x1, bool nt) {
-    const FpStage s{t, y, z, x0, x1, nt};
+  void process_row_tv(int t, int y, int z, int x0, int x1) {
+    const FpStage s{t, y, z, x0, x1};
     FpCallScope scope(*c_, &s, 1);
     ++tv_rows;
-    k_->process_row_tv(t, y, z, x0, x1, nt);
+    k_->process_row_tv(t, y, z, x0, x1);
   }
 
   long long tv_rows = 0;  ///< temporally-vectorized row invocations
@@ -635,19 +566,16 @@ inline std::vector<int> plan_topo_order(const plan_ir::TilePlan& p) {
 }
 
 /// Drive one 2D recording kernel through the production wave walker over
-/// every tile of the plan, in topological order, with per-tile NT line
-/// tracking.
+/// every tile of the plan, in topological order.
 template <class RecK>
 void drive_plan_2d(RecK& rk, const plan_ir::TilePlan& p,
                    const RunOptions& opt, FootprintChecker& chk) {
   wave::WaveWalker2D<false, RecK> walker(rk, p, opt);
   chk.install();
   for (int ti : plan_topo_order(p)) {
-    chk.begin_tile();
     plan_ir::for_each_slab(p, p.tiles[static_cast<std::size_t>(ti)],
                            [&](const plan_ir::Slab& sl) { walker(sl); });
     walker.end_tile();
-    chk.end_tile();
   }
   FootprintChecker::uninstall();
 }
@@ -659,20 +587,18 @@ void drive_plan_3d(RecK& rk, const plan_ir::TilePlan& p,
   wave::WaveWalker3D<false, RecK> walker(rk, p, opt);
   chk.install();
   for (int ti : plan_topo_order(p)) {
-    chk.begin_tile();
     plan_ir::for_each_slab(p, p.tiles[static_cast<std::size_t>(ti)],
                            [&](const plan_ir::Slab& sl) { walker(sl); });
     walker.end_tile();
-    chk.end_tile();
   }
   FootprintChecker::uninstall();
 }
 
 /// The CI matrix: every kernel family x scheme x {unroll_t 0..4} x
-/// {nt_stores} x {temporal_vec} (x {fp64, fp32} for the const2d family),
-/// each driven over a small emitted plan and certified clean. Exercise
-/// assertions (streams observed when armed, TV groups formed when enabled)
-/// are reported as diagnostics too — a vacuous certification is a failure.
+/// {temporal_vec} (x {fp64, fp32} for the const2d family), each driven over
+/// a small emitted plan and certified clean. Exercise assertions (TV groups
+/// formed when enabled) are reported as diagnostics too — a vacuous
+/// certification is a failure.
 std::vector<FpReport> footprint_sweep();
 
 }  // namespace analysis

@@ -7,17 +7,10 @@
 // RecElem32 swaps every vector load/store for a *recording* operation: the
 // address, width and access kind flow to the installed AccessHook, no real
 // arithmetic happens, and the instantiated body is otherwise the untouched
-// production source — same loop structure, same span/chunk/window logic,
-// same store-flavor selection. RecElem64 has sizeof(double) and RecVec64
-// the production VecD width (RecElem32 likewise mirrors float/VecF), so
-// grid pitches, alignment and vector coverage are bit-for-bit the
-// production layout.
-//
-// RecNtVec mirrors simd::NtVecD's runtime dispatch exactly: store() streams
-// only when the destination is naturally vector-aligned and falls back to a
-// plain store otherwise; store_aligned() streams unconditionally (which is
-// what makes a misaligned stream store *observable* as a hard alignment
-// diagnostic downstream).
+// production source — same loop structure, same span/chunk/window logic.
+// RecElem64 has sizeof(double) and RecVec64 the production VecD width
+// (RecElem32 likewise mirrors float/VecF), so grid pitches, alignment and
+// vector coverage are bit-for-bit the production layout.
 
 #include <cstddef>
 #include <cstdint>
@@ -28,12 +21,10 @@ namespace cats {
 namespace analysis {
 
 enum class AccessKind : std::uint8_t {
-  Load,             ///< unaligned-capable vector/scalar load
-  LoadAligned,      ///< load_aligned: must be naturally vector-aligned
-  Store,            ///< plain (cached) store
-  StoreAligned,     ///< store_aligned: must be naturally vector-aligned
-  StoreNt,          ///< non-temporal stream store: aligned + cache-bypassing
-  StoreNtFallback,  ///< NtVec::store that fell back to a plain store
+  Load,          ///< unaligned-capable vector/scalar load
+  LoadAligned,   ///< load_aligned: must be naturally vector-aligned
+  Store,         ///< plain (cached) store
+  StoreAligned,  ///< store_aligned: must be naturally vector-aligned
 };
 
 /// Per-thread access sink. The footprint checker installs itself here for
@@ -98,9 +89,6 @@ struct RecVec {
   void store_aligned(E* p) const {
     record_access(p, W * static_cast<int>(sizeof(E)), AccessKind::StoreAligned);
   }
-  void store_nt(E* p) const {
-    record_access(p, W * static_cast<int>(sizeof(E)), AccessKind::StoreNt);
-  }
   friend RecVec operator+(RecVec, RecVec) { return {}; }
   friend RecVec operator-(RecVec, RecVec) { return {}; }
   friend RecVec operator*(RecVec, RecVec) { return {}; }
@@ -118,45 +106,10 @@ struct RecVec {
 template <class E>
 using RecScalar = RecVec<E, 1>;
 
-/// Recording twin of NtVecD/NtVecF. store() replicates the production
-/// runtime alignment dispatch (stream iff naturally aligned, else plain
-/// store — reported as StoreNtFallback so the checker can count edge
-/// fallbacks separately); store_aligned() streams unconditionally.
-template <class E, int W>
-struct RecNtVec {
-  static constexpr int width = W;
-  RecVec<E, W> inner;
-
-  static RecNtVec load(const E* p) { return {RecVec<E, W>::load(p)}; }
-  static RecNtVec load_aligned(const E* p) {
-    return {RecVec<E, W>::load_aligned(p)};
-  }
-  static RecNtVec broadcast(E e) { return {RecVec<E, W>::broadcast(e)}; }
-  static RecNtVec zero() { return {RecVec<E, W>::zero()}; }
-  void store(E* p) const {
-    if ((reinterpret_cast<std::uintptr_t>(p) & (sizeof(E) * W - 1)) == 0) {
-      record_access(p, W * static_cast<int>(sizeof(E)), AccessKind::StoreNt);
-    } else {
-      record_access(p, W * static_cast<int>(sizeof(E)),
-                    AccessKind::StoreNtFallback);
-    }
-  }
-  void store_aligned(E* p) const {
-    record_access(p, W * static_cast<int>(sizeof(E)), AccessKind::StoreNt);
-  }
-  friend RecNtVec operator+(RecNtVec, RecNtVec) { return {}; }
-  friend RecNtVec operator-(RecNtVec, RecNtVec) { return {}; }
-  friend RecNtVec operator*(RecNtVec, RecNtVec) { return {}; }
-  static RecNtVec fma(RecNtVec, RecNtVec, RecNtVec) { return {}; }
-  double hsum() const { return 0.0; }
-};
-
 using RecVec64 = RecVec<RecElem64, simd::VecD::width>;
 using RecScalar64 = RecScalar<RecElem64>;
-using RecNtVec64 = RecNtVec<RecElem64, simd::VecD::width>;
 using RecVec32 = RecVec<RecElem32, simd::VecF::width>;
 using RecScalar32 = RecScalar<RecElem32>;
-using RecNtVec32 = RecNtVec<RecElem32, simd::VecF::width>;
 
 }  // namespace analysis
 }  // namespace cats
@@ -170,13 +123,11 @@ template <>
 struct vec_traits<cats::analysis::RecElem64> {
   using Vec = cats::analysis::RecVec64;
   using Scalar = cats::analysis::RecScalar64;
-  using Nt = cats::analysis::RecNtVec64;
 };
 template <>
 struct vec_traits<cats::analysis::RecElem32> {
   using Vec = cats::analysis::RecVec32;
   using Scalar = cats::analysis::RecScalar32;
-  using Nt = cats::analysis::RecNtVec32;
 };
 
 }  // namespace cats::simd

@@ -28,14 +28,9 @@ class CacheModel {
   /// Classic (write-allocate) store: identical line behavior and hit/miss
   /// counting to access(), but a miss is additionally recorded as an RFO
   /// (read-for-ownership line fill) and the bytes as eventually
-  /// written back — the DRAM cost the wave engine's NT path avoids.
+  /// written back.
   bool write(std::uint64_t addr);
   void write_range(std::uint64_t addr, std::size_t len);
-
-  /// Non-temporal store: bytes stream to memory without a fill — no hit or
-  /// miss is counted, no RFO happens, and any cached copy of the line is
-  /// invalidated (matching MOVNT semantics). Counted in stored/nt bytes.
-  void write_nt_range(std::uint64_t addr, std::size_t len);
 
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
@@ -45,14 +40,12 @@ class CacheModel {
   /// Write misses among misses(): line fills performed only for ownership.
   std::uint64_t write_misses() const { return write_misses_; }
   std::uint64_t rfo_bytes() const { return write_misses_ * static_cast<std::uint64_t>(line_); }
-  /// Every byte stored through write_range / write_nt_range (all reach DRAM
-  /// eventually, as a dirty write-back or an NT stream).
+  /// Every byte stored through write_range (all reach DRAM eventually, as a
+  /// dirty write-back).
   std::uint64_t stored_bytes() const { return stored_bytes_; }
-  std::uint64_t nt_bytes() const { return nt_bytes_; }
 
   /// Modeled DRAM transfer: line fills (read misses + RFOs) plus every
-  /// stored byte. NT stores skip the fill, which is exactly the one-third
-  /// saving on a pure read-modify-write stream (3 -> 2 transfers/point).
+  /// stored byte.
   std::uint64_t dram_bytes() const { return miss_bytes() + stored_bytes_; }
 
   std::size_t size_bytes() const { return sets_ * static_cast<std::size_t>(ways_) * line_; }
@@ -61,7 +54,7 @@ class CacheModel {
 
   void reset_counters() {
     hits_ = misses_ = 0;
-    write_misses_ = stored_bytes_ = nt_bytes_ = 0;
+    write_misses_ = stored_bytes_ = 0;
   }
   void flush();  ///< invalidate all lines and reset counters
 
@@ -81,7 +74,6 @@ class CacheModel {
   std::uint64_t hits_ = 0, misses_ = 0;
   std::uint64_t write_misses_ = 0;
   std::uint64_t stored_bytes_ = 0;
-  std::uint64_t nt_bytes_ = 0;
 };
 
 }  // namespace cats

@@ -59,25 +59,6 @@ class TraceStar2D {
     process_row(t, y, x0, x1);
   }
 
-  /// NT-store variant (driven by the wave engine on trailing wavefronts):
-  /// same read footprint, destination row streamed past the cache.
-  void process_row_nt(int t, int y, int x0, int x1) {
-    const Grid2D<double>& src = buf_[(t - 1) & 1];
-    Grid2D<double>& dst = buf_[t & 1];
-    const std::size_t len = static_cast<std::size_t>(x1 - x0 + 2 * s_) * 8;
-    touch(addr_of(src, x0 - s_, y), len);
-    for (int k = 1; k <= s_; ++k) {
-      touch(addr_of(src, x0 - s_, y - k), len);
-      touch(addr_of(src, x0 - s_, y + k), len);
-    }
-    for (int b = 0; b < bands_; ++b) {
-      touch(addr_of(coeff_[static_cast<std::size_t>(b)], x0, y),
-            static_cast<std::size_t>(x1 - x0) * 8);
-    }
-    cache_->write_nt_range(addr_of(dst, x0, y),
-                           static_cast<std::size_t>(x1 - x0) * 8);
-  }
-
  private:
   static std::uint64_t addr_of(const Grid2D<double>& g, int x, int y) {
     return reinterpret_cast<std::uint64_t>(g.data()) + g.index(x, y) * 8;
@@ -135,26 +116,6 @@ class TraceStar3D {
 
   void process_row_scalar(int t, int y, int z, int x0, int x1) {
     process_row(t, y, z, x0, x1);
-  }
-
-  /// NT-store variant; see TraceStar2D::process_row_nt.
-  void process_row_nt(int t, int y, int z, int x0, int x1) {
-    const Grid3D<double>& src = buf_[(t - 1) & 1];
-    Grid3D<double>& dst = buf_[t & 1];
-    const std::size_t len = static_cast<std::size_t>(x1 - x0 + 2 * s_) * 8;
-    touch(addr_of(src, x0 - s_, y, z), len);
-    for (int k = 1; k <= s_; ++k) {
-      touch(addr_of(src, x0 - s_, y - k, z), len);
-      touch(addr_of(src, x0 - s_, y + k, z), len);
-      touch(addr_of(src, x0 - s_, y, z - k), len);
-      touch(addr_of(src, x0 - s_, y, z + k), len);
-    }
-    for (int b = 0; b < bands_; ++b) {
-      touch(addr_of(coeff_[static_cast<std::size_t>(b)], x0, y, z),
-            static_cast<std::size_t>(x1 - x0) * 8);
-    }
-    cache_->write_nt_range(addr_of(dst, x0, y, z),
-                           static_cast<std::size_t>(x1 - x0) * 8);
   }
 
  private:

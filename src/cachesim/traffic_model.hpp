@@ -66,10 +66,8 @@ inline double traffic_speedup_bound(double naive_bytes, double cats_bytes) {
 /// store to a non-resident line first *reads* it for ownership (RFO), so the
 /// write stream costs two DRAM transfers, not one. Of a scheme's modeled
 /// bytes, the written fraction is state / (2*state + bands); doubling it
-/// scales total traffic by (1 + that fraction). NT stores (RunOptions::
-/// nt_stores, src/wave) eliminate the RFO, i.e. keep the uncorrected figure:
-/// for a constant stencil (state=1, bands=0) that is 3 vs 2 transfers per
-/// point per pass — the one-third saving the cachesim ablation checks.
+/// scales total traffic by (1 + that fraction): for a constant stencil
+/// (state=1, bands=0) that is 3 transfers per point per pass instead of 2.
 inline double with_rfo_bytes(const TrafficInput& in, double scheme_bytes) {
   const double write_fraction = in.state / (2.0 * in.state + in.bands);
   return scheme_bytes * (1.0 + write_fraction);

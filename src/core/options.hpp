@@ -88,13 +88,11 @@ struct RunOptions {
   /// for every run() by setting the CATS_VALIDATE environment variable.
   bool validate = false;
 
-  /// Non-temporal (streaming) stores on the trailing wavefront (src/wave).
-  /// Only honored when the plan's residency certificate shows the trailing
-  /// wavefront's output leaves cache before its next reader (CATS1/2/3 with
-  /// certified, unclamped Eq. 1/2 parameters); ignored — never unsafe —
-  /// elsewhere. Off by default: profitable only when the write-back stream
-  /// is DRAM-bound.
-  bool nt_stores = false;
+  /// Always false: non-temporal write-back was removed (it never won at
+  /// paper scale, DESIGN.md §12). Kept, read-only, only because the
+  /// repository benchmark (perfbench/) reads it; drop it at the next change
+  /// to the benchmark.
+  static constexpr bool nt_stores = false;
 
   /// Temporal unroll of the in-cache wavefront (src/wave): fuse this many
   /// consecutive timesteps of one tile's wavefront chain through a staggered

@@ -98,22 +98,6 @@ constexpr bool kernel_has_prefetch_front =
       k.prefetch_front(t, p, lines);
     };
 
-/// True when K exposes the non-temporal write-back path `process_row_nt`
-/// (same arguments as process_row): identical arithmetic, but stores stream
-/// past the cache. The wave engine uses it only for trailing-wavefront slabs
-/// certified to leave cache (see plan/verify.hpp nt_store_eligible) and
-/// fences before the owning tile publishes.
-template <class K>
-constexpr bool kernel_has_row_nt_2d =
-    requires(K& k, int t, int y, int x0, int x1) {
-      k.process_row_nt(t, y, x0, x1);
-    };
-template <class K>
-constexpr bool kernel_has_row_nt_3d =
-    requires(K& k, int t, int y, int z, int x0, int x1) {
-      k.process_row_nt(t, y, z, x0, x1);
-    };
-
 /// Vectors per x-chunk of the fused 2D micro-kernel's diagonal schedule
 /// (kernels/const2d.hpp, banded2d.hpp). Wider chunks amortize the
 /// stage-switch overhead; narrower ones keep the group's live rows hotter in
@@ -130,7 +114,6 @@ struct WaveStage {
   int t = 0;
   int y = 0;
   int x0 = 0, x1 = 0;
-  bool nt = false;  ///< stream this stage's stores (trailing wavefront)
 };
 
 /// True when K implements the register-tiled 2D temporal micro-kernel
@@ -156,14 +139,14 @@ constexpr bool kernel_has_process_stages_tv =
     };
 
 /// True when K implements the temporally-vectorized 3D row body
-/// `process_row_tv(t, y, z, x0, x1, nt)`: process_row arithmetic with the
-/// sliding-window interior, `nt` selecting the streaming store. 3D chains
+/// `process_row_tv(t, y, z, x0, x1)`: process_row arithmetic with the
+/// sliding-window interior. 3D chains
 /// are row-staggered across planes, so cross-stage register forwarding does
 /// not apply — the win is the eliminated unaligned x-neighborhood reloads.
 template <class K>
 constexpr bool kernel_has_row_tv_3d =
     requires(K& k, int t, int y, int z, int x0, int x1) {
-      k.process_row_tv(t, y, z, x0, x1, true);
+      k.process_row_tv(t, y, z, x0, x1);
     };
 
 /// Per-kernel accuracy contract of the temporal-vectorization path. Kernels

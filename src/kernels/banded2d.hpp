@@ -129,12 +129,6 @@ class Banded2D {
     span<Sc>(t, y, x0, x1);
   }
 
-  /// Non-temporal write-back path (see ConstStar2D::process_row_nt).
-  void process_row_nt(int t, int y, int x0, int x1) {
-    const int x = span<NtV>(t, y, x0, x1);
-    span<Sc>(t, y, x, x1);
-  }
-
   /// Register-tiled temporal micro-kernel (see ConstStar2D::process_stages
   /// for the stagger contract). Banded stages additionally resolve the NS
   /// coefficient-band row pointers once per group — the matrix entries are
@@ -159,11 +153,7 @@ class Banded2D {
         const int a = std::max(s.x0, base + ci * kChunk);
         const int b = std::min(s.x1, base + (ci + 1) * kChunk);
         if (a >= b) continue;
-        if (s.nt) {
-          stage_chunk<NtV>(s, a, b);
-        } else {
-          stage_chunk<Vec>(s, a, b);
-        }
+        stage_chunk(s, a, b);
       }
     }
   }
@@ -216,13 +206,12 @@ class Banded2D {
         acc.store(s.o + x);
       }
     };
-    wave::run_stages_tv<S, V, NtV, T>(sg, n, win_body, vec_body, sc_body);
+    wave::run_stages_tv<S, V, T>(sg, n, win_body, vec_body, sc_body);
   }
 
  private:
   using Vec = typename simd::vec_traits<T>::Vec;
   using Sc = typename simd::vec_traits<T>::Scalar;
-  using NtV = typename simd::vec_traits<T>::Nt;
 
   struct Stage {
     const T* c;
@@ -232,7 +221,6 @@ class Banded2D {
     const T* bc;
     const T *bxm[S], *bxp[S], *bym[S], *byp[S];
     int x0, x1;
-    bool nt;
   };
 
   void resolve_stages(const WaveStage* st, int n, Stage* sg, int& base,
@@ -256,17 +244,15 @@ class Banded2D {
       }
       s.x0 = st[g].x0;
       s.x1 = st[g].x1;
-      s.nt = st[g].nt;
       base = std::min(base, st[g].x0);
       hi = std::max(hi, st[g].x1);
     }
   }
 
   /// One x-chunk of one stage: vector body then scalar tail. All operands
-  /// are loads (the banded stencil broadcasts nothing), so the generic
-  /// vector body serves both store flavors directly.
-  template <class V, class StageT>
-  void stage_chunk(const StageT& s, int a, int b) {
+  /// are loads (the banded stencil broadcasts nothing).
+  void stage_chunk(const Stage& s, int a, int b) {
+    using V = Vec;
     int x = a;
     for (; x + V::width <= b; x += V::width) {
       V acc = V::load(s.bc + x) * V::load(s.c + x);

@@ -129,31 +129,11 @@ class Banded3D {
     span<Sc>(t, y, z, x0, x1);
   }
 
-  /// Non-temporal write-back path (see ConstStar3D::process_row_nt).
-  void process_row_nt(int t, int y, int z, int x0, int x1) {
-    const int x = span<NtV>(t, y, z, x0, x1);
-    span<Sc>(t, y, z, x, x1);
-  }
-
   /// Temporally-vectorized row body (see ConstStar3D::process_row_tv): the
   /// value center row is fed from a sliding register window; coefficient
   /// bands and the y/z neighbor rows load same-x. Identical operation tree
   /// per point as process_row (tv_bit_exact).
-  void process_row_tv(int t, int y, int z, int x0, int x1, bool nt) {
-    if (nt) {
-      row_tv<true>(t, y, z, x0, x1);
-    } else {
-      row_tv<false>(t, y, z, x0, x1);
-    }
-  }
-
- private:
-  using Vec = typename simd::vec_traits<T>::Vec;
-  using Sc = typename simd::vec_traits<T>::Scalar;
-  using NtV = typename simd::vec_traits<T>::Nt;
-
-  template <bool NT>
-  void row_tv(int t, int y, int z, int x0, int x1) {
+  void process_row_tv(int t, int y, int z, int x0, int x1) {
     using V = Vec;
     constexpr int W = V::width;
     constexpr int Q = (S + W - 1) / W;
@@ -177,13 +157,7 @@ class Banded3D {
       bzm[k] = bands_[base + 5].row(y, z);
       bzp[k] = bands_[base + 6].row(y, z);
     }
-    auto emit = [&](V acc, int x) {
-      if constexpr (NT) {
-        NtV{acc}.store(o + x);
-      } else {
-        acc.store(o + x);
-      }
-    };
+    auto emit = [&](V acc, int x) { acc.store(o + x); };
     auto plain = [&](int x) {
       V acc = V::load(bc + x) * V::load(c + x);
       for (int k = 0; k < S; ++k) {
@@ -230,6 +204,10 @@ class Banded3D {
     for (; x + W <= x1; x += W) emit(plain(x), x);
     span<Sc>(t, y, z, x, x1);
   }
+
+ private:
+  using Vec = typename simd::vec_traits<T>::Vec;
+  using Sc = typename simd::vec_traits<T>::Scalar;
 
   template <class V>
   int span(int t, int y, int z, int x0, int x1) {

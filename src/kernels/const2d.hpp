@@ -125,14 +125,6 @@ class ConstStar2D {
     span<Sc>(t, y, x0, x1);
   }
 
-  /// Non-temporal write-back path: same arithmetic as process_row, stores
-  /// stream past the cache (simd::vec_traits<T>::Nt). Caller must
-  /// store_fence() before publishing (see wave engine).
-  void process_row_nt(int t, int y, int x0, int x1) {
-    const int x = span<NtV>(t, y, x0, x1);
-    span<Sc>(t, y, x, x1);
-  }
-
   /// Register-tiled temporal micro-kernel (src/wave): sweep n <= 4 rows at
   /// consecutive timesteps in x-staggered lockstep. Weights are broadcast
   /// and row pointers resolved once for the whole group; the chunked
@@ -166,11 +158,7 @@ class ConstStar2D {
         const int a = std::max(s.x0, base + ci * kChunk);
         const int b = std::min(s.x1, base + (ci + 1) * kChunk);
         if (a >= b) continue;
-        if (s.nt) {
-          stage_chunk<true>(s, a, b, wc, wxm, wxp, wym, wyp);
-        } else {
-          stage_chunk<false>(s, a, b, wc, wxm, wxp, wym, wyp);
-        }
+        stage_chunk(s, a, b, wc, wxm, wxp, wym, wyp);
       }
     }
   }
@@ -214,14 +202,13 @@ class ConstStar2D {
       return acc;
     };
     auto sc_body = [&](const Stage& s, int a, int b) { scalar_span(s, a, b); };
-    wave::run_stages_tv<S, V, NtV, T>(sg, n, win_body, vec_body, sc_body);
+    wave::run_stages_tv<S, V, T>(sg, n, win_body, vec_body, sc_body);
   }
 
  private:
   static constexpr int kMaxStages = 4;
   using Vec = typename simd::vec_traits<T>::Vec;
   using Sc = typename simd::vec_traits<T>::Scalar;
-  using NtV = typename simd::vec_traits<T>::Nt;
 
   struct Stage {
     const T* c;
@@ -229,7 +216,6 @@ class ConstStar2D {
     const T* rm[S];
     const T* rp[S];
     int x0, x1;
-    bool nt;
   };
 
   void resolve_stages(const WaveStage* st, int n, Stage* sg, int& base,
@@ -246,7 +232,6 @@ class ConstStar2D {
       }
       s.x0 = st[g].x0;
       s.x1 = st[g].x1;
-      s.nt = st[g].nt;
       base = std::min(base, st[g].x0);
       hi = std::max(hi, st[g].x1);
     }
@@ -262,8 +247,7 @@ class ConstStar2D {
     }
   }
 
-  /// Scalar points [a, b) of one stage (plain stores — NT applies only to
-  /// full vectors).
+  /// Scalar points [a, b) of one stage.
   void scalar_span(const Stage& s, int a, int b) {
     const Sc sc = Sc::broadcast(w_.center);
     for (int x = a; x < b; ++x) {
@@ -280,9 +264,7 @@ class ConstStar2D {
   }
 
   /// One x-chunk of one stage: the vector body of span<Vec> with hoisted
-  /// weights, plus the scalar tail for the chunk's ragged end. NT selects
-  /// the streaming store (aligned fast path, plain store otherwise).
-  template <bool NT>
+  /// weights, plus the scalar tail for the chunk's ragged end.
   void stage_chunk(const Stage& s, int a, int b, Vec wc, const Vec* wxm,
                    const Vec* wxp, const Vec* wym, const Vec* wyp) {
     using V = Vec;
@@ -295,11 +277,7 @@ class ConstStar2D {
         acc = V::fma(wym[k], V::load(s.rm[k] + x), acc);
         acc = V::fma(wyp[k], V::load(s.rp[k] + x), acc);
       }
-      if constexpr (NT) {
-        NtV{acc}.store(s.o + x);
-      } else {
-        acc.store(s.o + x);
-      }
+      acc.store(s.o + x);
     }
     scalar_span(s, x, b);
   }

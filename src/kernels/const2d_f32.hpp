@@ -6,10 +6,9 @@
 //
 // Since the fp32 precision path became first-class this is just the float
 // instantiation of the shared ConstStar2D body (const2d.hpp): it carries the
-// full kernel surface — NUMA-aware parallel_init, prefetch_front, NT-store
-// write-back (NtVecF), the fused wave micro-kernel, and the
-// temporally-vectorized chain body — not the read-only subset the kernel
-// started with.
+// full kernel surface — NUMA-aware parallel_init, prefetch_front, the fused
+// wave micro-kernel, and the temporally-vectorized chain body — not the
+// read-only subset the kernel started with.
 
 #include "kernels/const2d.hpp"
 

@@ -122,40 +122,15 @@ class ConstStar3D {
     span<Sc>(t, y, z, x0, x1);
   }
 
-  /// Non-temporal write-back path: same arithmetic as process_row, stores
-  /// stream past the cache (the 3D micro-kernel specialization — 3D
-  /// temporal fusion interleaves whole rows engine-side, so the NT store is
-  /// the only per-kernel piece). Caller must store_fence() before
-  /// publishing.
-  void process_row_nt(int t, int y, int z, int x0, int x1) {
-    const int x = span<NtV>(t, y, z, x0, x1);
-    span<Sc>(t, y, z, x, x1);
-  }
-
   /// Temporally-vectorized row body (wave/temporal_vec.hpp): the window-legal
   /// interior builds every center-row x-neighborhood from a sliding register
   /// window (one aligned load + shuffles per vector instead of 2S+1
   /// overlapping unaligned reloads); edge vectors and the scalar tail use the
   /// plain body. 3D chains interleave whole rows engine-side (run_fused_3d_tv
   /// drives this per row), so unlike 2D there is no cross-stage register
-  /// forwarding — consumed rows were produced S row-steps earlier. `nt`
-  /// selects the streaming store on full vectors. Identical operation tree
-  /// per point as process_row (tv_bit_exact).
-  void process_row_tv(int t, int y, int z, int x0, int x1, bool nt) {
-    if (nt) {
-      row_tv<true>(t, y, z, x0, x1);
-    } else {
-      row_tv<false>(t, y, z, x0, x1);
-    }
-  }
-
- private:
-  using Vec = typename simd::vec_traits<T>::Vec;
-  using Sc = typename simd::vec_traits<T>::Scalar;
-  using NtV = typename simd::vec_traits<T>::Nt;
-
-  template <bool NT>
-  void row_tv(int t, int y, int z, int x0, int x1) {
+  /// forwarding — consumed rows were produced S row-steps earlier. Identical
+  /// operation tree per point as process_row (tv_bit_exact).
+  void process_row_tv(int t, int y, int z, int x0, int x1) {
     using V = Vec;
     constexpr int W = V::width;
     constexpr int Q = (S + W - 1) / W;
@@ -181,13 +156,7 @@ class ConstStar3D {
       wzm[k] = V::broadcast(w_.zm[i]);
       wzp[k] = V::broadcast(w_.zp[i]);
     }
-    auto emit = [&](V acc, int x) {
-      if constexpr (NT) {
-        NtV{acc}.store(o + x);
-      } else {
-        acc.store(o + x);
-      }
-    };
+    auto emit = [&](V acc, int x) { acc.store(o + x); };
     auto plain = [&](int x) {
       V acc = wc * V::load(c + x);
       for (int k = 0; k < S; ++k) {
@@ -234,6 +203,10 @@ class ConstStar3D {
     for (; x + W <= x1; x += W) emit(plain(x), x);
     span<Sc>(t, y, z, x, x1);
   }
+
+ private:
+  using Vec = typename simd::vec_traits<T>::Vec;
+  using Sc = typename simd::vec_traits<T>::Scalar;
 
   template <class V>
   int span(int t, int y, int z, int x0, int x1) {

@@ -11,9 +11,9 @@
 // exactly what the verifier reasons about (plan/verify.hpp).
 //
 // Each worker runs a private *copy* of the slab callback, so stateful
-// walkers (the wave engine's fusion/NT state, src/wave/engine.hpp) need no
+// walkers (the wave engine's fusion state, src/wave/engine.hpp) need no
 // sharing discipline; callbacks exposing end_tile() are notified after each
-// tile's slabs, before the tile publishes — the flush/fence point.
+// tile's slabs, before the tile publishes — the flush point.
 //
 // Every plan owner is exactly one worker: the paper's minimalist
 // parallelization has tile-to-tile sync only, no intra-tile barriers.

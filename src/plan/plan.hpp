@@ -56,13 +56,6 @@ struct Slab {
   Box box;
   bool front = false;
   std::int64_t wavefront = 0;
-  /// This slab's output provably leaves cache before its next reader: it is
-  /// the tile's top timestep (t == tile.t1) of a wavefront scheme, so its
-  /// consumers run in the next chunk/diamond row after a full domain sweep.
-  /// The wave engine streams such slabs' stores past the cache when
-  /// RunOptions::nt_stores is set and the plan is NT-eligible
-  /// (plan/verify.hpp nt_store_eligible). Never set for SkewedBlock tiles.
-  bool trailing = false;
 };
 
 enum class TileKind : std::uint8_t {
@@ -230,8 +223,7 @@ CATS_PLAN_NO_UNSWITCH inline void for_each_slab(const TilePlan& p,
         } else {
           b.zlo = b.zhi = pos;
         }
-        f(Slab{t, b, tile.front_hints && tau == tile.tau_lo, tile.u,
-               t == tile.t1});
+        f(Slab{t, b, tile.front_hints && tau == tile.tau_lo, tile.u});
       }
       break;
     }
@@ -269,8 +261,7 @@ CATS_PLAN_NO_UNSWITCH inline void for_each_slab(const TilePlan& p,
               if (b.xhi < b.xlo) continue;
             }
           }
-          f(Slab{static_cast<int>(t), b, tile.front_hints && t == ts.lo, w,
-                 static_cast<int>(t) == tile.t1});
+          f(Slab{static_cast<int>(t), b, tile.front_hints && t == ts.lo, w});
         }
       }
       break;

@@ -54,20 +54,6 @@ enum class DiagKind : std::uint8_t {
 
 const char* diag_kind_name(DiagKind k);
 
-/// Non-temporal-store eligibility of a plan (wave engine): trailing-slab
-/// output may bypass the cache only when the plan's residency certificate is
-/// real — a wavefront scheme whose parameters came from Eq. 1 / Eq. 2
-/// (certify_residency) and were not clamp-floored past the cache budget
-/// (clamped), so the trailing wavefront's output provably leaves cache
-/// before its next reader anyway and streaming it costs no hit the schedule
-/// was counting on. Naive/PluTo plans revisit output within cache distance
-/// and are never eligible.
-inline bool nt_store_eligible(const TilePlan& p) {
-  return p.certify_residency && !p.clamped &&
-         (p.scheme == Scheme::Cats1 || p.scheme == Scheme::Cats2 ||
-          p.scheme == Scheme::Cats3);
-}
-
 struct Diag {
   DiagKind kind{};
   bool warning = false;  ///< true = advisory (clamped plans), false = error

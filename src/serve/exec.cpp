@@ -70,7 +70,6 @@ RunOptions job_run_options(const JobRequest& rq, const ExecEnv& env) {
   opt.threads = std::max(opt.threads, 1);
   opt.cache_bytes = rq.cache_bytes;
   opt.scheme = rq.scheme;
-  opt.nt_stores = rq.nt_stores;
   opt.unroll_t = rq.unroll_t;
   opt.cache_tenants = env.cache_tenants;
   if (env.pin_cpus != nullptr && !env.pin_cpus->empty())
@@ -105,7 +104,7 @@ JobResult run_kernel(K& k, const JobRequest& rq, const RunOptions& opt,
                 ? static_cast<double>(n) * rq.t_steps / r.seconds / 1e6
                 : 0.0;
   r.model_dram_bytes =
-      model_bytes_for(exec, n, wmax, rq.t_steps, opt.threads, opt.nt_stores,
+      model_bytes_for(exec, n, wmax, rq.t_steps, opt.threads, false,
                       kernel_element_bytes(k));
 
   r.checksum = result_checksum(k, rq.t_steps, n, &r.sample);
@@ -129,8 +128,8 @@ std::uint64_t fnv1a(const std::vector<double>& v) {
 }
 
 double model_bytes_for(const SchemeChoice& choice, std::int64_t n,
-                       std::int64_t wmax, int t_steps, int tiles,
-                       bool nt_stores, double elem_bytes) {
+                       std::int64_t wmax, int t_steps, int tiles, bool,
+                       double elem_bytes) {
   if (t_steps <= 0 || n <= 0) return 0.0;
   TrafficInput in;
   in.n = static_cast<double>(n);
@@ -156,7 +155,7 @@ double model_bytes_for(const SchemeChoice& choice, std::int64_t n,
       bytes = naive_traffic_bytes(in);
       break;
   }
-  return nt_stores ? bytes : with_rfo_bytes(in, bytes);
+  return with_rfo_bytes(in, bytes);
 }
 
 JobResult execute_job(const JobRequest& rq, const ExecEnv& env,

@@ -208,7 +208,7 @@ JobResult run_split_impl(const JobRequest& rq, const ShardSchedule& sched,
           oc.choice = resolve_dispatch(choice, job_is_3d(rq) ? 3 : 2);
           oc.model_bytes += model_bytes_for(
               oc.choice, A::slice_points(rq) * n_loc, n_loc, st.tb,
-              opt.threads, opt.nt_stores, kernel_element_bytes(k));
+              opt.threads, false, kernel_element_bytes(k));
           computed[i].publish(st.block + 1);
         } else {
           // Refresh this shard's halo slices from the neighbors' parity-0

@@ -48,7 +48,6 @@ struct JobRequest {
   int threads = 0;  ///< worker threads; 0 = the executing shard's default
   Scheme scheme = Scheme::Auto;
   std::size_t cache_bytes = 0;  ///< Z override; 0 = detect on the shard
-  bool nt_stores = false;
   int unroll_t = 0;
 
   /// Cross-shard domain decomposition policy.

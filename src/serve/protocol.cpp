@@ -113,8 +113,14 @@ bool parse_request(const std::string& line, Request* out, std::string* err) {
     j.seed = static_cast<std::uint64_t>(v.get_int("seed", 1));
     j.threads = static_cast<int>(v.get_int("threads"));
     j.cache_bytes = static_cast<std::size_t>(v.get_int("cache_bytes"));
-    if (const tune::JsonValue* nt = v.get("nt_stores"))
-      j.nt_stores = nt->kind == tune::JsonValue::Kind::Bool && nt->boolean;
+    // Non-temporal stores were removed; a client still asking for them is
+    // told so instead of having the key dropped like an unknown one.
+    if (const tune::JsonValue* nt = v.get("nt_stores");
+        nt != nullptr && nt->kind == tune::JsonValue::Kind::Bool &&
+        nt->boolean) {
+      if (err != nullptr) *err = "nt_stores is no longer supported";
+      return false;
+    }
     j.unroll_t = static_cast<int>(v.get_int("unroll_t"));
     if (!parse_scheme(v.get_string("scheme", "auto"), &j.scheme)) {
       if (err != nullptr) *err = "unknown scheme";
@@ -164,7 +170,6 @@ std::string encode_request(const Request& rq) {
     s += ",\"cache_bytes\":" + std::to_string(j.cache_bytes);
   if (j.scheme != Scheme::Auto)
     s += std::string(",\"scheme\":") + json_quote(scheme_wire_name(j.scheme));
-  if (j.nt_stores) s += ",\"nt_stores\":true";
   if (j.unroll_t != 0) s += ",\"unroll_t\":" + std::to_string(j.unroll_t);
   if (j.split == JobRequest::Split::Never) s += R"(,"split":"never")";
   if (j.split == JobRequest::Split::Force) s += R"(,"split":"force")";

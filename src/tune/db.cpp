@@ -79,8 +79,8 @@ bool TuneDb::load(const std::string& path) {
     r.entry.affinity = e.get_string("affinity");  // absent in pre-affinity DBs
     // Wave knobs: absent in pre-wave DBs — the defaults mean "keep the
     // caller's value", so old files stay fully usable. Keys of removed knobs
-    // (team_size, the MWD group width) are ignored like any unknown key.
-    r.entry.nt_stores = static_cast<int>(e.get_int("nt_stores", -1));
+    // (team_size, the MWD group width, nt_stores) are ignored like any
+    // unknown key.
     r.entry.unroll_t = static_cast<int>(e.get_int("unroll_t", -1));
     r.entry.temporal_vec = static_cast<int>(e.get_int("temporal_vec", -1));
     r.entry.prefetch_dist = static_cast<int>(e.get_int("prefetch_dist", -1));
@@ -116,7 +116,6 @@ bool TuneDb::save(const std::string& path) const {
        << "\"bx\": " << r.entry.bx << ", "
        << "\"run_threads\": " << r.entry.run_threads << ", "
        << "\"affinity\": " << json_quote(r.entry.affinity) << ", "
-       << "\"nt_stores\": " << r.entry.nt_stores << ", "
        << "\"unroll_t\": " << r.entry.unroll_t << ", "
        << "\"temporal_vec\": " << r.entry.temporal_vec << ", "
        << "\"prefetch_dist\": " << r.entry.prefetch_dist << ", "

@@ -42,7 +42,6 @@ struct DbEntry {
   std::string affinity;    ///< affinity_policy_name(); "" = keep the caller's
   // Wave-engine knobs (src/wave). Negative = not tuned: keep the caller's
   // RunOptions value, matching pre-wave DB files.
-  int nt_stores = -1;      ///< -1 keep; 0 off; 1 on
   int unroll_t = -1;       ///< -1 keep; else RunOptions::unroll_t
   int temporal_vec = -1;   ///< -1 keep; 0 off; 1 on (RunOptions::temporal_vec)
   int prefetch_dist = -1;  ///< -1 keep; else RunOptions::prefetch_dist

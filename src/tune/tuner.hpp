@@ -32,7 +32,7 @@ struct TuneConfig {
   bool tune_threads = true;      ///< re-time the winner at threads/2
   bool tune_affinity = true;     ///< re-time the winner under each pin policy
   bool tune_wave = true;         ///< re-time the winner along the wave axes
-                                 ///< (nt_stores / unroll_t / temporal_vec /
+                                 ///< (unroll_t / temporal_vec /
                                  ///< prefetch_dist, src/wave)
 };
 
@@ -47,7 +47,6 @@ struct Candidate {
   std::int64_t bx = 0;
   int threads = 0;
   int affinity = -1;
-  int nt_stores = -1;      ///< -1 caller's; 0 off; 1 on
   int unroll_t = -1;       ///< -1 caller's; else RunOptions::unroll_t
   int temporal_vec = -1;   ///< -1 caller's; 0 off; 1 on
   int prefetch_dist = -1;  ///< -1 caller's; else RunOptions::prefetch_dist
@@ -165,7 +164,7 @@ TuneResult search(MakeKernel&& make, int T, const RunOptions& base,
 
     // Wave-engine axes (src/wave): re-time the winner with each knob moved
     // off its base value, one at a time — the axes are near-independent
-    // (NT stores trade RFO traffic, temporal unroll trades loads), so a
+    // (temporal unroll trades loads, prefetch trades issue slots), so a
     // coordinate sweep recovers most of the joint optimum at a fraction of
     // the grid cost. Each probe sticks only if it wins.
     if (cfg.tune_wave && budget.seconds() <= cfg.budget_seconds) {
@@ -178,11 +177,6 @@ TuneResult search(MakeKernel&& make, int T, const RunOptions& base,
           res.best_seconds = secs;
         }
       };
-      {
-        Candidate c = res.best;
-        c.nt_stores = base.nt_stores ? 0 : 1;
-        probe(c);
-      }
       for (int u : {1, 2, 4}) {
         if (u == (base.unroll_t == 0 ? 4 : base.unroll_t)) continue;
         Candidate c = res.best;
@@ -220,7 +214,6 @@ TuneResult search(MakeKernel&& make, int T, const RunOptions& base,
       res.best.affinity < 0
           ? ""
           : affinity_policy_name(static_cast<AffinityPolicy>(res.best.affinity));
-  res.entry.nt_stores = res.best.nt_stores;
   res.entry.unroll_t = res.best.unroll_t;
   res.entry.temporal_vec = res.best.temporal_vec;
   res.entry.prefetch_dist = res.best.prefetch_dist;

@@ -1,12 +1,12 @@
 #pragma once
 // In-cache wavefront engine: per-worker slab walkers that turn the plan
-// executor's slab stream into fused temporal micro-kernel groups, streaming
-// (non-temporal) write-backs, and leading-edge prefetch hints.
+// executor's slab stream into fused temporal micro-kernel groups and
+// leading-edge prefetch hints.
 //
 // The executor (plan/execute.hpp) copies one walker per worker thread, so
 // chain state below is thread-private, and calls end_tile() after each
 // tile's slab enumeration, before the tile's progress/done publish — which
-// is where pending groups flush and pending NT stores are fenced.
+// is where pending groups flush.
 //
 // Chain detection: a slab extends the current group iff it is the next link
 // of the same wavefront chain — same Slab::wavefront, timestep exactly one
@@ -21,13 +21,6 @@
 // rows out of the oracle's expected order), for kernels not opting in
 // (wave/microkernel.hpp), and for the scalar baseline path (measured as
 // plain C on purpose).
-//
-// NT stores apply only to *trailing* slabs (Slab::trailing: the tile's top
-// timestep in a wavefront scheme) of NT-eligible plans
-// (plan/verify.hpp nt_store_eligible) and require one store_fence() before
-// the owning tile publishes: WC stores are not ordered by the publish's
-// release store alone. The walker tracks whether any NT store was issued
-// since the last fence and end_tile() fences exactly then.
 
 #include <cstdint>
 
@@ -35,8 +28,6 @@
 #include "core/options.hpp"
 #include "core/stencil.hpp"
 #include "plan/plan.hpp"
-#include "plan/verify.hpp"
-#include "simd/vecd.hpp"
 #include "wave/microkernel.hpp"
 
 namespace cats::wave {
@@ -71,9 +62,6 @@ class WaveWalker2D {
       : k_(&k), slope_(p.slope) {
     if constexpr (!Scalar) {
       pf_ = opt.prefetch_dist > 0 ? opt.prefetch_dist : 0;
-      if constexpr (kernel_has_row_nt_2d<K>) {
-        nt_ = opt.nt_stores && plan_ir::nt_store_eligible(p);
-      }
       if constexpr (kernel_has_process_stages<K>) {
         unroll_ = detail::resolve_unroll(opt);
       }
@@ -102,7 +90,7 @@ class WaveWalker2D {
           flush();
         }
         if (n_ == 0) wave_ = sl.wavefront;
-        buf_[n_++] = WaveStage{sl.t, y, x0, x1, nt_ && sl.trailing};
+        buf_[n_++] = WaveStage{sl.t, y, x0, x1};
         return;
       }
     }
@@ -112,17 +100,9 @@ class WaveWalker2D {
     }
   }
 
-  /// Flush the pending group and fence pending NT stores; the executor calls
-  /// this after each tile's slabs, before the tile publishes.
-  void end_tile() {
-    flush();
-    if constexpr (!Scalar) {
-      if (fence_pending_) {
-        simd::store_fence();
-        fence_pending_ = false;
-      }
-    }
-  }
+  /// Flush the pending group; the executor calls this after each tile's
+  /// slabs, before the tile publishes.
+  void end_tile() { flush(); }
 
  private:
   void row(const plan_ir::Slab& sl, int y, int x0, int x1) {
@@ -130,13 +110,6 @@ class WaveWalker2D {
     if constexpr (Scalar) {
       k_->process_row_scalar(sl.t, y, x0, x1);
     } else {
-      if constexpr (kernel_has_row_nt_2d<K>) {
-        if (nt_ && sl.trailing) {
-          k_->process_row_nt(sl.t, y, x0, x1);
-          fence_pending_ = true;
-          return;
-        }
-      }
       k_->process_row(sl.t, y, x0, x1);
     }
   }
@@ -147,26 +120,13 @@ class WaveWalker2D {
       if (n_ == 1) {
         // Degenerate chain: the plain row path, no stagger needed.
         const WaveStage& s = buf_[0];
-        if constexpr (kernel_has_row_nt_2d<K>) {
-          if (s.nt) {
-            k_->process_row_nt(s.t, s.y, s.x0, s.x1);
-            fence_pending_ = true;
-            n_ = 0;
-            return;
-          }
-        }
         k_->process_row(s.t, s.y, s.x0, s.x1);
-      } else {
+      } else if (tv_) {
         if constexpr (kernel_has_process_stages_tv<K>) {
-          if (tv_) {
-            k_->process_stages_tv(buf_, n_);
-            for (int g = 0; g < n_; ++g) fence_pending_ |= buf_[g].nt;
-            n_ = 0;
-            return;
-          }
+          k_->process_stages_tv(buf_, n_);
         }
+      } else {
         k_->process_stages(buf_, n_);
-        for (int g = 0; g < n_; ++g) fence_pending_ |= buf_[g].nt;
       }
       n_ = 0;
     }
@@ -176,9 +136,7 @@ class WaveWalker2D {
   int slope_;
   int unroll_ = 1;
   int pf_ = 0;
-  bool nt_ = false;
   bool tv_ = false;
-  bool fence_pending_ = false;
   std::int64_t wave_ = 0;
   int n_ = 0;
   WaveStage buf_[kMaxUnroll];
@@ -191,9 +149,6 @@ class WaveWalker3D {
       : k_(&k), slope_(p.slope) {
     if constexpr (!Scalar) {
       pf_ = opt.prefetch_dist > 0 ? opt.prefetch_dist : 0;
-      if constexpr (kernel_has_row_nt_3d<K>) {
-        nt_ = opt.nt_stores && plan_ir::nt_store_eligible(p);
-      }
       if constexpr (wave_fusable_v<K>) {
         unroll_ = detail::resolve_unroll(opt);
       }
@@ -227,8 +182,7 @@ class WaveWalker3D {
                             static_cast<int>(sl.box.ylo),
                             static_cast<int>(sl.box.yhi),
                             x0,
-                            x1,
-                            nt_ && sl.trailing};
+                            x1};
         return;
       }
     }
@@ -240,15 +194,7 @@ class WaveWalker3D {
     }
   }
 
-  void end_tile() {
-    flush();
-    if constexpr (!Scalar) {
-      if (fence_pending_) {
-        simd::store_fence();
-        fence_pending_ = false;
-      }
-    }
-  }
+  void end_tile() { flush(); }
 
  private:
   void row(const plan_ir::Slab& sl, int y, int z, int x0, int x1) {
@@ -256,13 +202,6 @@ class WaveWalker3D {
     if constexpr (Scalar) {
       k_->process_row_scalar(sl.t, y, z, x0, x1);
     } else {
-      if constexpr (kernel_has_row_nt_3d<K>) {
-        if (nt_ && sl.trailing) {
-          k_->process_row_nt(sl.t, y, z, x0, x1);
-          fence_pending_ = true;
-          return;
-        }
-      }
       k_->process_row(sl.t, y, z, x0, x1);
     }
   }
@@ -273,26 +212,14 @@ class WaveWalker3D {
       if (n_ == 1) {
         const Stage3& s = buf_[0];
         for (int y = s.ylo; y <= s.yhi; ++y) {
-          if constexpr (kernel_has_row_nt_3d<K>) {
-            if (s.nt) {
-              k_->process_row_nt(s.t, y, s.z, s.x0, s.x1);
-              continue;
-            }
-          }
           k_->process_row(s.t, y, s.z, s.x0, s.x1);
         }
-        fence_pending_ |= s.nt;
-      } else {
+      } else if (tv_) {
         if constexpr (kernel_has_row_tv_3d<K>) {
-          if (tv_) {
-            run_fused_3d_tv(*k_, buf_, n_, slope_);
-            for (int g = 0; g < n_; ++g) fence_pending_ |= buf_[g].nt;
-            n_ = 0;
-            return;
-          }
+          run_fused_3d_tv(*k_, buf_, n_, slope_);
         }
+      } else {
         run_fused_3d(*k_, buf_, n_, slope_);
-        for (int g = 0; g < n_; ++g) fence_pending_ |= buf_[g].nt;
       }
       n_ = 0;
     }
@@ -302,9 +229,7 @@ class WaveWalker3D {
   int slope_;
   int unroll_ = 1;
   int pf_ = 0;
-  bool nt_ = false;
   bool tv_ = false;
-  bool fence_pending_ = false;
   std::int64_t wave_ = 0;
   int n_ = 0;
   Stage3 buf_[kMaxUnroll];

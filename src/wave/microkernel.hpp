@@ -62,7 +62,6 @@ struct Stage3 {
   int z = 0;
   int ylo = 0, yhi = 0;
   int x0 = 0, x1 = 0;
-  bool nt = false;  ///< stream this stage's stores (trailing wavefront)
 };
 
 /// Row-staggered 3D group sweep: at step r, stage g computes row r - g*s of
@@ -83,12 +82,6 @@ void run_fused_3d(K& k, const Stage3* st, int n, int s) {
     for (int g = 0; g < n; ++g) {
       const int y = r - g * s;
       if (y < st[g].ylo || y > st[g].yhi) continue;
-      if constexpr (kernel_has_row_nt_3d<K>) {
-        if (st[g].nt) {
-          k.process_row_nt(st[g].t, y, st[g].z, st[g].x0, st[g].x1);
-          continue;
-        }
-      }
       k.process_row(st[g].t, y, st[g].z, st[g].x0, st[g].x1);
     }
   }
@@ -97,8 +90,7 @@ void run_fused_3d(K& k, const Stage3* st, int n, int s) {
 /// run_fused_3d with every row driven through the kernel's temporally-
 /// vectorized body (process_row_tv, see wave/temporal_vec.hpp): same
 /// row-staggered schedule, same stagger proof, identical per-point operation
-/// tree; the per-stage `nt` flag is threaded through instead of the
-/// process_row/process_row_nt split.
+/// tree.
 template <class K>
 void run_fused_3d_tv(K& k, const Stage3* st, int n, int s) {
   int rlo = st[0].ylo;
@@ -111,7 +103,7 @@ void run_fused_3d_tv(K& k, const Stage3* st, int n, int s) {
     for (int g = 0; g < n; ++g) {
       const int y = r - g * s;
       if (y < st[g].ylo || y > st[g].yhi) continue;
-      k.process_row_tv(st[g].t, y, st[g].z, st[g].x0, st[g].x1, st[g].nt);
+      k.process_row_tv(st[g].t, y, st[g].z, st[g].x0, st[g].x1);
     }
   }
 }

@@ -109,9 +109,8 @@ struct ShiftWindow {
 /// never reaches the TV path).
 ///
 /// Stage is the kernel's resolved per-timestep descriptor and must expose
-/// `.c` (center input row), `.o` (output row), `.x0`/`.x1` (the stage's
-/// x-range), and `.nt` (stream the output past the cache). The three bodies
-/// supply the arithmetic:
+/// `.c` (center input row), `.o` (output row) and `.x0`/`.x1` (the stage's
+/// x-range). The three bodies supply the arithmetic:
 ///   win_body(stage, x, window) -> V   windowed interior vector at x; all
 ///                                     center-row operands come from the
 ///                                     ShiftWindow.
@@ -124,7 +123,7 @@ struct ShiftWindow {
 /// (Grid2D pads the interior origin to the vector width). Each stage runs
 /// to completion before the next starts — see the header comment for why
 /// that order is hazard-free and why it beat both pipelined drivers.
-template <int S, class V, class NtV, class T, class Stage, class WinBody,
+template <int S, class V, class T, class Stage, class WinBody,
           class VecBody, class ScBody>
 void run_stages_tv(const Stage* sg, int n, WinBody&& win_body,
                    VecBody&& vec_body, ScBody&& sc_body) {
@@ -162,31 +161,18 @@ void run_stages_tv(const Stage* sg, int n, WinBody&& win_body,
     const int top = s.x1 + S - (Q + 1) * W;
     const int ih = std::max(il, std::min(fh, top >= 0 ? top / W + 1 : 0));
     if (s.x0 < fl * W) edge(s.x0);
-    const auto cells = [&](auto nt_flag) {
-      const auto put = [&](int x, V v) {
-        if constexpr (decltype(nt_flag)::value) {
-          NtV{v}.store(s.o + x);
-        } else {
-          v.store(s.o + x);
-        }
-      };
-      for (int bi = fl; bi < il; ++bi) put(bi * W, vec_body(s, bi * W));
-      if (il < ih) {
-        ShiftWindow<V, T, S> win;
-        win.prime(s.c, il * W);
-        put(il * W, win_body(s, il * W, win));
-        for (int bi = il + 1; bi < ih; ++bi) {
-          win.advance(s.c, bi * W);
-          put(bi * W, win_body(s, bi * W, win));
-        }
+    const auto put = [&](int x, V v) { v.store(s.o + x); };
+    for (int bi = fl; bi < il; ++bi) put(bi * W, vec_body(s, bi * W));
+    if (il < ih) {
+      ShiftWindow<V, T, S> win;
+      win.prime(s.c, il * W);
+      put(il * W, win_body(s, il * W, win));
+      for (int bi = il + 1; bi < ih; ++bi) {
+        win.advance(s.c, bi * W);
+        put(bi * W, win_body(s, bi * W, win));
       }
-      for (int bi = ih; bi < fh; ++bi) put(bi * W, vec_body(s, bi * W));
-    };
-    if (s.nt) {
-      cells(std::true_type{});
-    } else {
-      cells(std::false_type{});
     }
+    for (int bi = ih; bi < fh; ++bi) put(bi * W, vec_body(s, bi * W));
     if (fh * W < s.x1) edge(s.x1 - W);
   }
 }

@@ -72,15 +72,12 @@ TEST(ModelCheck, MinimalitySweepRefutesWeakeningsAndAuditsPinLatch) {
 TEST(Footprint, CleanKernelCertifiesOverCats1) {
   constexpr int S = 2;
   ConstStar2D<S, RecElem64> k(48, 16, default_star2d_weights<S, RecElem64>());
-  plan_ir::TilePlan p = plan_ir::emit_cats1(2, 48, 16, 1, 4, S, 2, 2);
-  p.certify_residency = true;
-  p.clamped = false;
+  const plan_ir::TilePlan p = plan_ir::emit_cats1(2, 48, 16, 1, 4, S, 2, 2);
   FootprintChecker chk(2, S);
   chk.add_state_grid_2d(k.grid_at(0), 0, "buf0");
   chk.add_state_grid_2d(k.grid_at(1), 1, "buf1");
   RunOptions opt;
   opt.threads = p.threads;
-  opt.nt_stores = true;
   opt.unroll_t = 0;
   opt.prefetch_dist = 0;
   RecWrap2D<ConstStar2D<S, RecElem64>> wrap(k, chk);
@@ -108,7 +105,7 @@ TEST(Footprint, OffByOneHaloReadFlagged) {
   chk.add_state_grid_2d(dst, 1, "buf1");
   chk.install();
   {
-    const FpStage st{1, 5, 0, 0, 16, false};
+    const FpStage st{1, 5, 0, 0, 16};
     FpCallScope scope(chk, &st, 1);
     // Stage row y=5 at slope 2 may read rows 3..7; row 2 is one too far.
     (void)RecVec64::load(src.row(5 - S - 1) + 4);
@@ -121,11 +118,10 @@ TEST(Footprint, OffByOneHaloReadFlagged) {
   EXPECT_NE(m.find("y=2"), std::string::npos) << m;
 }
 
-/// Doctored access #2: a misaligned stream store (store_aligned streams
-/// unconditionally) must be a hard alignment diagnostic, again with exact
-/// coordinates.
-TEST(Footprint, MisalignedStreamStoreFlagged) {
-  if constexpr (RecNtVec64::width > 1) {
+/// Doctored access #2: a misaligned store_aligned must be a hard alignment
+/// diagnostic, again with exact coordinates.
+TEST(Footprint, MisalignedAlignedStoreFlagged) {
+  if constexpr (RecVec64::width > 1) {
     constexpr int S = 2;
     Grid2D<RecElem64> src(32, 12, S);
     Grid2D<RecElem64> dst(32, 12, S);
@@ -134,49 +130,19 @@ TEST(Footprint, MisalignedStreamStoreFlagged) {
     chk.add_state_grid_2d(dst, 1, "buf1");
     chk.install();
     {
-      const FpStage st{1, 5, 0, 0, 32, true};
+      const FpStage st{1, 5, 0, 0, 32};
       FpCallScope scope(chk, &st, 1);
       // Geometrically legal, but one element off natural vector alignment.
-      RecNtVec64 v{};
+      RecVec64 v{};
       v.store_aligned(dst.row(5) + 1);
     }
     FootprintChecker::uninstall();
     ASSERT_EQ(chk.diags().size(), 1U);
     const std::string& m = chk.diags().front().message;
-    EXPECT_NE(m.find("misaligned stream store"), std::string::npos) << m;
+    EXPECT_NE(m.find("misaligned aligned store"), std::string::npos) << m;
     EXPECT_NE(m.find("x=1"), std::string::npos) << m;
     EXPECT_NE(m.find("y=5"), std::string::npos) << m;
   }
-}
-
-/// Doctored access #3: reloading a cache line that was streamed within the
-/// same tile falsifies the NT residency certification.
-TEST(Footprint, StreamedLineReloadFlagged) {
-  constexpr int S = 1;
-  Grid2D<RecElem64> src(32, 12, S);
-  Grid2D<RecElem64> dst(32, 12, S);
-  FootprintChecker chk(2, S);
-  chk.add_state_grid_2d(src, 0, "buf0");
-  chk.add_state_grid_2d(dst, 1, "buf1");
-  chk.install();
-  chk.begin_tile();
-  {
-    const FpStage st{1, 5, 0, 0, 32, true};
-    FpCallScope scope(chk, &st, 1);
-    RecNtVec64 v{};
-    v.store_aligned(dst.row(5));  // rows are 64-byte aligned: streams
-  }
-  {
-    const FpStage st{2, 5, 0, 0, 32, false};
-    FpCallScope scope(chk, &st, 1);
-    (void)RecVec64::load(dst.row(5));  // same line, same tile: flagged
-  }
-  chk.end_tile();
-  FootprintChecker::uninstall();
-  ASSERT_EQ(chk.diags().size(), 1U);
-  EXPECT_NE(chk.diags().front().message.find("streamed within this tile"),
-            std::string::npos)
-      << chk.diags().front().message;
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Single-precision kernel tests: bit-exact scheme equivalence in float
-// (including the wave engine's fusion / NT-store / temporal-vectorization
-// paths) and the element-size effect on Eq. 1/2 tile sizing and residency
+// (including the wave engine's fusion / temporal-vectorization paths) and
+// the element-size effect on Eq. 1/2 tile sizing and residency
 // certification.
 
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include "kernels/const2d.hpp"
 #include "kernels/const2d_f32.hpp"
 #include "plan/emit.hpp"
-#include "plan/verify.hpp"
 
 using namespace cats;
 using cats::test::expect_bit_equal;
@@ -62,10 +61,10 @@ TEST(Float32, AllSchemesBitExactVsReference) {
 }
 
 TEST(Float32, WaveEngineBitExact) {
-  // Fusion, NT stores and temporal vectorization are execution-order /
-  // store-path changes only, so every composition must reproduce the plain
-  // (unfused, plain-store) fp32 walk bit for bit — same contract as the fp64
-  // wave tests, instantiated for the float element type (VecF width 2x).
+  // Fusion and temporal vectorization are execution-order changes only, so
+  // every composition must reproduce the plain (unfused) fp32 walk bit for
+  // bit — same contract as the fp64 wave tests, instantiated for the float
+  // element type (VecF width 2x).
   auto make = [] {
     FloatStar2D<1> k(73, 59, weights_f32());
     k.init(
@@ -88,7 +87,6 @@ TEST(Float32, WaveEngineBitExact) {
       for (bool tv : {false, true}) {
         RunOptions opt = plain;
         opt.unroll_t = u;
-        opt.nt_stores = true;
         opt.temporal_vec = tv;
         auto k = make();
         run(k, T, opt);
@@ -134,9 +132,9 @@ TEST(Float32, SmallerElementsWidenTheDiamond) {
 
 TEST(Float32, ReducedElementSizeArmsResidencyCertification) {
   // A cache just below one minimal fp64 diamond's working set but above the
-  // fp32 one: the fp64 plan hits the 2s floor (clamped -> no residency
-  // certificate, NT stores refused) while the fp32 plan of the same domain
-  // certifies and arms NT eligibility. Eq. 2 raw BZ is sqrt(2Z/(E*CS')), so
+  // fp32 one: the fp64 plan hits the 2s floor (clamped -> its residency
+  // certificate is void) while the fp32 plan of the same domain certifies
+  // unclamped. Eq. 2 raw BZ is sqrt(2Z/(E*CS')), so
   // with s=1, CS'=2.8 the 2s floor sits at Z=44.8 bytes for E=8 and
   // Z=22.4 bytes for E=4; Z=40 lands between them.
   plan_ir::PlanRequest rq;
@@ -159,8 +157,6 @@ TEST(Float32, ReducedElementSizeArmsResidencyCertification) {
   EXPECT_TRUE(p32.certify_residency);
   EXPECT_TRUE(p64.clamped);
   EXPECT_FALSE(p32.clamped);
-  EXPECT_FALSE(plan_ir::nt_store_eligible(p64));
-  EXPECT_TRUE(plan_ir::nt_store_eligible(p32));
 }
 
 TEST(Float32, PlanUsesElementSize) {

@@ -74,7 +74,6 @@ TEST(ServeProtocol, SubmitRoundTrip) {
   rq.job.tenant = "alice \"quoted\"";
   rq.job.threads = 3;
   rq.job.scheme = Scheme::Cats2;
-  rq.job.nt_stores = true;
   rq.job.split = JobRequest::Split::Force;
 
   Request back;
@@ -89,7 +88,6 @@ TEST(ServeProtocol, SubmitRoundTrip) {
   EXPECT_EQ(back.job.seed, 7u);
   EXPECT_EQ(back.job.threads, 3);
   EXPECT_EQ(back.job.scheme, Scheme::Cats2);
-  EXPECT_TRUE(back.job.nt_stores);
   EXPECT_EQ(back.job.split, JobRequest::Split::Force);
 }
 
@@ -131,6 +129,12 @@ TEST(ServeProtocol, RejectsMalformedAndOversized) {
       R"({"op":"submit","kernel":"const2d","nx":8,"ny":8,"scheme":"mwd"})",
       &rq, &err));
   EXPECT_EQ(err, "unknown scheme");
+  // Non-temporal stores were removed: asking for them is an error, not an
+  // unknown key that is silently dropped.
+  EXPECT_FALSE(parse_request(
+      R"({"op":"submit","kernel":"const2d","nx":8,"ny":8,"nt_stores":true})",
+      &rq, &err));
+  EXPECT_EQ(err, "nt_stores is no longer supported");
   // Point cap: 2^13 * 2^13 * 2^13 = 2^39 points >> kMaxPoints.
   EXPECT_FALSE(parse_request(
       R"({"op":"submit","kernel":"const3d","nx":8192,"ny":8192,"nz":8192})",

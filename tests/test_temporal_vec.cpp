@@ -203,8 +203,7 @@ void check_chain_bodies(MakeKernel&& make, int width, int height,
           const int x0 = off + g;
           const int x1 = std::min(off + len - g, width);
           if (x0 >= x1) break;
-          st[built++] = WaveStage{t0 + g, ymid - g, x0, x1,
-                                  /*nt=*/(g == n - 1) && (len % 2 == 0)};
+          st[built++] = WaveStage{t0 + g, ymid - g, x0, x1};
         }
         if (built < 2) continue;
         a.process_stages(st, built);
@@ -282,7 +281,6 @@ RunOptions tv_options(Scheme s, int threads = 2) {
   opt.scheme = s;
   opt.threads = threads;
   opt.cache_bytes = 32 * 1024;  // force multi-chunk / multi-tile plans
-  opt.nt_stores = true;
   opt.temporal_vec = true;
   return opt;
 }
@@ -397,7 +395,6 @@ TEST(TemporalVec, OracleCleanWithTvRequested) {
     opt.threads = 4;
     opt.cache_bytes = 32 * 1024;
     opt.temporal_vec = true;
-    opt.nt_stores = true;
     opt.oracle = &oracle;
     run(k, T, opt);
     oracle.check_complete(T);

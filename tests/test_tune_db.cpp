@@ -202,9 +202,10 @@ TEST(ApplyTuning, HitFromThisMachineAppliesEntry) {
   EXPECT_EQ(c.scheme, Scheme::Cats2);
   EXPECT_EQ(c.bz, 42);
 
-  // A file written while RunOptions still had the 3D y-split teams carries
-  // a "team_size" key: it must load, its other tuned fields must apply, and
-  // the removed knob is ignored.
+  // A file written while RunOptions still had the 3D y-split teams and
+  // non-temporal stores carries "team_size" and "nt_stores" keys: it must
+  // load, its other tuned fields must apply, and the removed knobs are
+  // ignored.
   write_file(path,
              R"({"version": 1, "entries": [{"machine": )" +
                  json_quote(key.machine) +
@@ -222,7 +223,6 @@ TEST(ApplyTuning, HitFromThisMachineAppliesEntry) {
   const RunOptions old = apply_tuning(opt, "const2d/s1", d);
   EXPECT_EQ(old.scheme, Scheme::Cats2);
   EXPECT_EQ(old.bz_override, 42);
-  EXPECT_TRUE(old.nt_stores);
   EXPECT_EQ(old.unroll_t, 2);
   EXPECT_EQ(old.prefetch_dist, 8);
   EXPECT_EQ(old.threads, opt.threads);
@@ -248,7 +248,6 @@ TEST(ApplyTuning, HitFromThisMachineAppliesEntry) {
   const RunOptions retired = apply_tuning(opt, "const2d/s1", d);
   EXPECT_EQ(retired.scheme, Scheme::Auto);
   EXPECT_EQ(retired.bz_override, 0);
-  EXPECT_TRUE(retired.nt_stores);
   EXPECT_EQ(retired.unroll_t, 2);
   EXPECT_EQ(retired.prefetch_dist, 8);
   EXPECT_EQ(retired.threads, opt.threads);

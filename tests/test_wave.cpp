@@ -1,8 +1,7 @@
 // Wave-engine tests (src/wave): the register-tiled temporal micro-kernels
-// and the NT-store write-back path are pure execution-order changes, so
-// every configuration must reproduce the unroll_t=1 / plain-store result
-// bit for bit — the same per-lane arithmetic runs either way, only the
-// schedule differs.
+// are pure execution-order changes, so every configuration must reproduce
+// the unroll_t=1 result bit for bit — the same per-lane arithmetic runs
+// either way, only the schedule differs.
 
 #include <gtest/gtest.h>
 
@@ -24,7 +23,7 @@ using cats::test::expect_bit_equal;
 namespace {
 
 // Small cache + overrides force multi-chunk/multi-tile plans on tiny
-// domains, so trailing wavefronts and chunk seams all occur.
+// domains, so tile boundaries and chunk seams all occur.
 RunOptions wave_options(Scheme s, int threads = 2) {
   RunOptions opt;
   opt.scheme = s;
@@ -42,11 +41,10 @@ std::vector<double> run_dump(MakeKernel&& make, int T, const RunOptions& opt) {
   return out;
 }
 
-// Reference = wave features off: no fusion, plain stores.
+// Reference = wave features off: no fusion.
 RunOptions plain_options(Scheme s, int threads = 2) {
   RunOptions opt = wave_options(s, threads);
   opt.unroll_t = 1;
-  opt.nt_stores = false;
   return opt;
 }
 
@@ -60,23 +58,6 @@ void check_unrolls(MakeKernel&& make, int T, const char* label) {
       expect_bit_equal(run_dump(make, T, opt), want,
                        (std::string(label) + " " + scheme_name(s) +
                         " unroll=" + std::to_string(u))
-                           .c_str());
-    }
-  }
-}
-
-template <class MakeKernel>
-void check_nt(MakeKernel&& make, int T, const char* label) {
-  for (Scheme s : {Scheme::Cats1, Scheme::Cats2}) {
-    for (int u : {1, 0}) {  // NT alone, and NT composed with fusion
-      RunOptions ref = plain_options(s);
-      ref.unroll_t = u;
-      const std::vector<double> want = run_dump(make, T, ref);
-      RunOptions opt = ref;
-      opt.nt_stores = true;
-      expect_bit_equal(run_dump(make, T, opt), want,
-                       (std::string(label) + " " + scheme_name(s) +
-                        " nt unroll=" + std::to_string(u))
                            .c_str());
     }
   }
@@ -155,43 +136,4 @@ TEST(WaveFusion, NonFusableKernelUnaffected) {
   RunOptions opt = wave_options(Scheme::Cats2);
   opt.unroll_t = 4;
   expect_bit_equal(run_dump(make, 11, opt), want, "fdtd unroll");
-}
-
-// ---------------------------------------------------------------------------
-// NT stores: value-identical to plain stores, alone and with fusion
-// ---------------------------------------------------------------------------
-
-TEST(WaveNt, Const2DNtEquivalence) {
-  check_nt(
-      [] {
-        ConstStar2D<1> k(73, 59, default_star2d_weights<1>());
-        k.init(cats::test::init2d, 0.2);
-        return k;
-      },
-      14, "const2d");
-}
-
-TEST(WaveNt, Banded3DNtEquivalence) {
-  check_nt(
-      [] {
-        Banded3D<1> k(21, 17, 15);
-        k.init(cats::test::init3d, 0.05);
-        k.init_bands(cats::test::band_coeff3);
-        return k;
-      },
-      8, "banded3d");
-}
-
-TEST(WaveNt, NaiveSchemeIgnoresNt) {
-  // Naive plans are never NT-eligible (no residency certificate): the flag
-  // must be inert rather than corrupting the streaming sweep.
-  auto make = [] {
-    ConstStar2D<1> k(64, 48, default_star2d_weights<1>());
-    k.init(cats::test::init2d);
-    return k;
-  };
-  const std::vector<double> want = run_dump(make, 10, plain_options(Scheme::Naive));
-  RunOptions opt = plain_options(Scheme::Naive);
-  opt.nt_stores = true;
-  expect_bit_equal(run_dump(make, 10, opt), want, "naive nt");
 }

@@ -24,8 +24,7 @@ const char* kUsage =
     "commands:\n"
     "  submit   --kernel const2d|const2d_f32|const3d --nx N --ny N\n"
     "           [--nz N] -T N [--tenant NAME] [--seed N] [--threads N]\n"
-    "           [--scheme S] [--split auto|never|force] [--nt-stores]\n"
-    "           [--selftest]\n"
+    "           [--scheme S] [--split auto|never|force] [--selftest]\n"
     "  stats    print the server's scheduler statistics (JSON)\n"
     "  ping     check liveness\n"
     "  shutdown [--cancel]  drain (or cancel+drain) the server\n";
@@ -87,8 +86,6 @@ int main(int argc, char** argv) {
       } else {
         die("unknown split policy");
       }
-    } else if (a == "--nt-stores") {
-      job.nt_stores = true;
     } else if (a == "--selftest") {
       selftest = true;
     } else if (a == "--cancel") {

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo lint checks (wired into the CI lint job).
 
-Three rules over src/:
+Four rules:
 
 1. no-bare-assert: `assert(...)` is compiled out by -DNDEBUG in release
    builds, which is exactly where scheme bugs bite. Invariants must use
@@ -25,6 +25,12 @@ Three rules over src/:
    (g++ -std=c++20 -fsyntax-only -I src), so headers keep their includes
    and no header silently depends on its inclusion context.
 
+4. options-table: every field of `struct RunOptions` (src/core/options.hpp)
+   has a row in README's "`RunOptions` in full" table, and every row names
+   a live field, so the user-facing option reference cannot drift from the
+   struct. `static` members are compatibility constants, not settable
+   options, and need no row.
+
 Exit status 0 = clean, 1 = findings (printed as file:line: rule: message).
 """
 
@@ -37,6 +43,9 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
+OPTIONS_HPP = SRC / "core" / "options.hpp"
+README = REPO / "README.md"
+OPTIONS_TABLE_HEAD = "`RunOptions` in full:"
 
 BARE_ASSERT = re.compile(r"(?<![_\w])assert\s*\(")
 MEMORY_ORDER = re.compile(
@@ -135,6 +144,94 @@ def check_standalone_headers(findings: list[str]) -> None:
                 f"not compile on its own: {first}")
 
 
+# A data member declaration: type tokens, then the name, then `= init` or
+# `;`. Function declarations (parentheses) and `static`/`using`/`friend`
+# members never match.
+FIELD_DECL = re.compile(
+    r"^(?!\s*(?:static|using|friend|enum|struct|class)\b)\s*"
+    r"[^;()=]*?\b([A-Za-z_]\w*)\s*(?:=[^;]*)?;")
+
+
+def run_options_fields() -> dict[str, int] | None:
+    """RunOptions data-member names -> 1-indexed line in options.hpp, or
+    None when the struct cannot be found."""
+    lines = OPTIONS_HPP.read_text().splitlines()
+    fields: dict[str, int] = {}
+    depth = 0
+    inside = False
+    for ln, line in enumerate(lines, 1):
+        code = strip_comment(line)
+        if not inside:
+            if re.match(r"^\s*struct\s+RunOptions\s*\{", code):
+                inside = True
+                depth = 1
+            continue
+        if depth == 1:
+            m = FIELD_DECL.match(code)
+            if m:
+                fields[m.group(1)] = ln
+        depth += code.count("{") - code.count("}")
+        if depth <= 0:
+            return fields
+    return None
+
+
+def options_table_rows() -> list[tuple[int, list[str]]] | None:
+    """(1-indexed README line, field names in the row's first cell) for the
+    rows of the "`RunOptions` in full" table, or None when it is missing."""
+    lines = README.read_text().splitlines()
+    try:
+        start = next(i for i, line in enumerate(lines)
+                     if line.strip() == OPTIONS_TABLE_HEAD)
+    except StopIteration:
+        return None
+    rows: list[tuple[int, list[str]]] = []
+    in_table = False
+    for i in range(start + 1, len(lines)):
+        line = lines[i].strip()
+        if not line.startswith("|"):
+            if in_table:
+                break
+            continue
+        in_table = True
+        first = line.strip("|").split("|")[0].strip()
+        if first == "Field" or set(first) <= set("-: "):
+            continue  # header / separator
+        rows.append((i + 1, re.findall(r"`(\w+)`", first)))
+    return rows
+
+
+def check_options_table(findings: list[str]) -> None:
+    opt_rel = OPTIONS_HPP.relative_to(REPO)
+    readme_rel = README.relative_to(REPO)
+    fields = run_options_fields()
+    if fields is None:
+        findings.append(f"{opt_rel}:1: options-table: struct RunOptions "
+                        f"not found")
+        return
+    rows = options_table_rows()
+    if rows is None:
+        findings.append(f"{readme_rel}:1: options-table: no "
+                        f"\"{OPTIONS_TABLE_HEAD}\" table")
+        return
+    documented: set[str] = set()
+    for ln, names in rows:
+        if not names:
+            findings.append(f"{readme_rel}:{ln}: options-table: row names "
+                            f"no `field`")
+        for name in names:
+            documented.add(name)
+            if name not in fields:
+                findings.append(
+                    f"{readme_rel}:{ln}: options-table: row names `{name}`, "
+                    f"which is not a RunOptions field")
+    for name, ln in fields.items():
+        if name not in documented:
+            findings.append(
+                f"{opt_rel}:{ln}: options-table: RunOptions::{name} has no "
+                f"row in README's \"{OPTIONS_TABLE_HEAD}\" table")
+
+
 def main() -> int:
     findings: list[str] = []
     for path in sorted(SRC.rglob("*")):
@@ -145,6 +242,7 @@ def main() -> int:
         if (SRC / "analysis") not in path.parents:
             check_memory_order(path, lines, findings)
     check_standalone_headers(findings)
+    check_options_table(findings)
     for f in findings:
         print(f)
     print(f"lint_checks: {len(findings)} finding(s)")
